@@ -66,6 +66,22 @@ def _load_json(path: str) -> dict:
     return raw
 
 
+def _int_field(section: Mapping[str, Any], key: str, default: Any = None) -> int:
+    """A JSON integer field (``true``, ``2.7`` and ``"10"`` are rejected)."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidConfig(f"'{key}' must be an integer, got {value!r}")
+    return value
+
+
+def _number_field(section: Mapping[str, Any], key: str, default: Any = None) -> float:
+    """A JSON number field (``true`` and ``"abc"`` are rejected)."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidConfig(f"'{key}' must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_joint(raw: Mapping[str, Any], key: str) -> JointPmf:
     if key not in raw:
         raise InvalidConfig(f"config is missing the {key} matrix")
@@ -79,16 +95,16 @@ def _parse_protocol(raw: Mapping[str, Any]) -> ProtocolConfig:
     for field in ("k", "n"):
         if field not in section:
             raise InvalidConfig(f"protocol section is missing '{field}'")
-    k = int(section["k"])
-    n = int(section["n"])
-    eta = float(section.get("eta", default_eta(n, k)))
+    k = _int_field(section, "k")
+    n = _int_field(section, "n")
+    eta = _number_field(section, "eta") if "eta" in section else default_eta(n, k)
     return ProtocolConfig(
         k=k,
         n=n,
         eta=eta,
         encoder_kind=section.get("encoder_kind", "one_bit"),
         policy_kind=section.get("policy_kind", "fixed_horizon"),
-        epsilon=float(section.get("epsilon", 0.05)),
+        epsilon=_number_field(section, "epsilon", 0.05),
     )
 
 
@@ -97,6 +113,13 @@ def _resolve(args, raw: Mapping[str, Any], key: str, default):
     if override is not None:
         return override
     return raw.get(key, default)
+
+
+def _resolve_int(args, raw: Mapping[str, Any], key: str, default: int) -> int:
+    override = getattr(args, key, None)
+    if override is not None:
+        return override
+    return _int_field(raw, key, default)
 
 
 def _emit(text: str, out_path: str | None):
@@ -116,15 +139,20 @@ def cmd_exponent(args) -> int:
             "joint (min over cells of Q_XY > 0); the supplied Q_XY has a zero cell"
         )
     opts = SolverOptions(
-        tolerance=float(raw.get("tolerance", 1e-10)),
-        max_iterations=int(raw.get("max_iterations", 100_000)),
+        tolerance=_number_field(raw, "tolerance", 1e-10),
+        max_iterations=_int_field(raw, "max_iterations", 100_000),
     )
-    epsilon = raw.get("protocol", {}).get("epsilon") if isinstance(raw.get("protocol"), Mapping) else None
-    result = solve_exponent(p, q, opts, epsilon=float(epsilon) if epsilon is not None else None)
+    section = raw.get("protocol")
+    epsilon = (
+        _number_field(section, "epsilon")
+        if isinstance(section, Mapping) and section.get("epsilon") is not None
+        else None
+    )
+    result = solve_exponent(p, q, opts, epsilon=epsilon)
 
     oracle = ""
     if p.probs.shape == (2, 2):
-        oracle = format_float(grid_oracle_exponent(p, q, float(raw.get("grid_step", 1e-5))))
+        oracle = format_float(grid_oracle_exponent(p, q, _number_field(raw, "grid_step", 1e-5)))
     p_x, p_y = marginals(p)
     q_x, q_y = marginals(q)
     baseline_x = chernoff_stein_baseline(p_x, q_x)
@@ -165,10 +193,10 @@ def cmd_simulate(args) -> int:
     if method not in ("exact", "mc"):
         raise InvalidConfig(f"method must be 'exact' or 'mc', got {method!r}")
     if method == "mc":
-        trials = int(_resolve(args, raw, "trials", 0))
+        trials = _resolve_int(args, raw, "trials", 0)
         if trials < 1:
             raise InvalidConfig(f"Monte Carlo needs trials >= 1, got {trials}")
-        seed = int(_resolve(args, raw, "seed", 0))
+        seed = _resolve_int(args, raw, "seed", 0)
         report = monte_carlo_errors(config, p, q, trials, seed, threads=args.threads)
     else:
         report = exact_errors(config, p, q)
@@ -184,7 +212,9 @@ def cmd_fit(args) -> int:
     grid = raw.get("N_grid")
     if not isinstance(grid, list) or len(grid) < 4:
         raise InvalidConfig("fit needs an N_grid list with at least 4 sample budgets")
-    fit = fit_exponent(config, p, q, [int(v) for v in grid])
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in grid):
+        raise InvalidConfig(f"N_grid entries must be integers, got {grid!r}")
+    fit = fit_exponent(config, p, q, grid)
 
     solver_line = ""
     if q.strictly_positive:
@@ -257,9 +287,9 @@ def _acceptance_bound_suite(rng: np.random.Generator, horizon: int, cases: int):
 def cmd_verify(args) -> int:
     raw = _load_json(args.config) if args.config else {}
     section = raw.get("verify", {}) if isinstance(raw.get("verify", {}), Mapping) else {}
-    wald_horizon = int(section.get("wald_horizon", 8))
-    set_bound_horizon = int(section.get("set_bound_horizon", 6))
-    cases = int(section.get("cases", 20))
+    wald_horizon = _int_field(section, "wald_horizon", 8)
+    set_bound_horizon = _int_field(section, "set_bound_horizon", 6)
+    cases = _int_field(section, "cases", 20)
     if not (1 <= wald_horizon <= WALD_HORIZON_LIMIT):
         raise InvalidConfig(
             f"wald_horizon must be in 1..{WALD_HORIZON_LIMIT} (exact enumeration), got {wald_horizon}"
@@ -270,7 +300,7 @@ def cmd_verify(args) -> int:
         )
     if cases < 1:
         raise InvalidConfig(f"cases must be >= 1, got {cases}")
-    seed = int(_resolve(args, raw, "seed", 0))
+    seed = _resolve_int(args, raw, "seed", 0)
     rng = np.random.default_rng(seed)
 
     lines = []

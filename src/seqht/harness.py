@@ -4,8 +4,9 @@ The decision rules are type-measurable, so the error probabilities of the
 fixed-horizon protocol are finite sums over empirical types. This module
 computes them three ways, cross-checkable against each other:
 
-* an exact binary fast path that sums over marginal count pairs (the decision
-  depends on the joint type only through its marginals),
+* an exact binary fast path over marginal counts (the decision depends on the
+  joint type only through its marginals): for each typical x-count the
+  y-window mass is a short sum of binomial tails, O(window_x * N) work,
 * an exact general-alphabet enumeration over joint types,
 * a vectorized Monte Carlo estimator with reproducible per-trial seeds.
 
@@ -28,8 +29,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
-from scipy.stats import binom
+from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 from .errors import (
     HorizonTooLarge,
@@ -171,6 +171,59 @@ def _typical_count_mask(total: int, target: np.ndarray, margin: float) -> np.nda
     return gap <= margin
 
 
+def _binom_logpmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
+    """log P(Bin(n, p) = k) for integer k in 0..n.
+
+    Term for term the formula of ``scipy.stats.binom.logpmf``. Do not swap in
+    a more accurate log-pmf: the lgamma rounding of this formula is
+    systematic (about 1e-10 relative at N = 2000 against a 50-digit
+    evaluation), and alpha = -expm1(log accept) inherits it, so a different
+    formula moves alpha by more than the 1e-12 that the committed reference
+    values are checked to. For the same reason alpha stays the complement of
+    the accept mass rather than a sum over the reject region.
+    """
+    k = np.asarray(k, dtype=np.float64)
+    combiln = gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1))
+    return combiln + xlogy(k, p) + xlog1py(n - k, -p)
+
+
+def _log_sub(big: np.ndarray, small: np.ndarray) -> np.ndarray:
+    """log(exp(big) - exp(small)) for small <= big; -inf where big is -inf."""
+    return big + np.log1p(-np.exp(np.where(big > -np.inf, small - big, -np.inf)))
+
+
+def _log_window_masses(log_pmf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """log P(lo <= B <= hi) for each window, given B's log-pmf on 0..m.
+
+    Windows must lie inside 0..m; an empty window (lo > hi) has mass 0.
+    Each mass comes from the tail it is smallest in: a window below the mode
+    is a difference of left tails, one above it a difference of right tails,
+    and one holding the mode is the total less both tails. A difference of
+    the far tail would cancel and lose all digits deep in the tail.
+    """
+    m = log_pmf.size - 1
+    mode = int(np.argmax(log_pmf))
+    peak = log_pmf[mode]
+    # Relative to the peak, so the terms that dominate carry logs near 0 and
+    # the log-domain running sums round them least.
+    shifted = log_pmf - peak
+    empty = lo > hi
+    lo = np.minimum(lo, m + 1)
+    hi = np.maximum(hi, -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # below[j] = log P(B < j), above[j] = log P(B >= j), for j in 0..m+1.
+        below = np.concatenate(([-np.inf], np.logaddexp.accumulate(shifted)))
+        above = np.concatenate((np.logaddexp.accumulate(shifted[::-1])[::-1], [-np.inf]))
+        left = _log_sub(below[hi + 1], below[lo])
+        right = _log_sub(above[lo], above[hi + 1])
+        # The rounded terms need not sum to exactly 1, so take the window
+        # from their own total rather than from 1.
+        whole = logsumexp(shifted)
+        middle = whole + np.log1p(-np.exp(below[lo] - whole) - np.exp(above[hi + 1] - whole))
+    out = np.where(hi < mode, left, np.where(lo > mode, right, middle)) + peak
+    return np.where(empty, -np.inf, out)
+
+
 def _binary_log_accept(
     joint: np.ndarray,
     x_mask: np.ndarray,
@@ -179,30 +232,37 @@ def _binary_log_accept(
 ) -> float:
     """Log-probability that both marginal counts land in their typical windows.
 
-    The count a of x = 0 is binomial; given a, the count of y = 0 is a sum of
-    two binomials (one per x-value), evaluated here as a log-domain
-    convolution restricted to the accepted window. Work is
-    O(window_x * window_y * total).
+    The count a of x = 0 is binomial; given a, the count of y = 0 is
+    B0 + B1 with B0 ~ Bin(a, s0) and B1 ~ Bin(total - a, s1). For each
+    typical a this sums P(B0 = b0) * P(lo - b0 <= B1 <= hi - b0) over b0,
+    with the window masses read off two-sided log tails of B1 built once per
+    a. Work is O(window_x * total).
+
+    The y-window is an interval [lo, hi]: the typicality gap is a maximum of
+    absolute values of functions monotone in the count (also after
+    rounding), so it is quasi-convex and each sublevel set is contiguous.
     """
     a_vals = np.nonzero(x_mask)[0]
     b_vals = np.nonzero(y_mask)[0]
     if a_vals.size == 0 or b_vals.size == 0:
         return -np.inf
+    lo, hi = int(b_vals[0]), int(b_vals[-1])
     rx0 = joint[0, 0] + joint[0, 1]
     rx1 = joint[1, 0] + joint[1, 1]
     s0 = joint[0, 0] / rx0 if rx0 > 0 else 0.0
     s1 = joint[1, 0] / rx1 if rx1 > 0 else 0.0
-    log_pa = binom.logpmf(a_vals, total, rx0)
+    log_pa = _binom_logpmf(a_vals, total, rx0)
 
     per_a = np.empty(a_vals.size)
     for i, a in enumerate(a_vals):
-        u = binom.logpmf(np.arange(a + 1), a, s0)
-        v = binom.logpmf(np.arange(total - a + 1), total - a, s1)
         b0 = np.arange(a + 1)
-        rest = b_vals[:, None] - b0[None, :]
-        valid = (rest >= 0) & (rest <= total - a)
-        vals = np.where(valid, u[None, :] + v[np.clip(rest, 0, total - a)], -np.inf)
-        per_a[i] = logsumexp(vals)
+        rest = total - a
+        windows = _log_window_masses(
+            _binom_logpmf(np.arange(rest + 1), rest, s1),
+            np.maximum(lo - b0, 0),
+            np.minimum(hi - b0, rest),
+        )
+        per_a[i] = logsumexp(_binom_logpmf(b0, a, s0) + windows)
     return float(logsumexp(per_a + log_pa))
 
 
@@ -343,15 +403,15 @@ def _early_binary_outcome(
     Dynamic program over the per-round count of y = 0 among surviving (not
     yet rejected) trajectories. The per-round increment is binomial in the
     measure's y-marginal; the final x-typicality probability given the total
-    y-count is a two-binomial convolution, exactly as in the fixed-horizon
-    path. Linear domain is safe at the <= 64 sample sizes this supports.
+    y-count is a two-binomial convolution. Linear domain is safe at the
+    <= 64 sample sizes this supports.
     """
     n, k = config.n, config.k
     total = n * k
     p_x, p_y = marginals(p)
     ry0 = joint[0, 0] + joint[1, 0]
     ry1 = joint[0, 1] + joint[1, 1]
-    inc = binom.pmf(np.arange(k + 1), k, ry0)
+    inc = np.exp(_binom_logpmf(np.arange(k + 1), k, ry0))
 
     surv = np.array([1.0])  # index = count of y=0 after t rounds
     reject_mass = 0.0
@@ -384,8 +444,8 @@ def _early_binary_outcome(
             accept_mass += float(surv[b])
             continue
         x_dist = np.convolve(
-            binom.pmf(np.arange(b + 1), b, u0),
-            binom.pmf(np.arange(total - b + 1), total - b, u1),
+            np.exp(_binom_logpmf(np.arange(b + 1), b, u0)),
+            np.exp(_binom_logpmf(np.arange(total - b + 1), total - b, u1)),
         )
         p_x_ok = float(x_dist[x_mask].sum())
         accept_mass += float(surv[b]) * p_x_ok
@@ -422,10 +482,10 @@ def exact_errors(
 ) -> ErrorReport:
     """Exact error probabilities by summing type weights over the regions.
 
-    Fixed-horizon instances on binary pairs use the marginal-count fast path
-    (feasible into the thousands of samples); other alphabets enumerate joint
-    types under the cell budget. Early-decide instances are exactly evaluable
-    for binary pairs up to 64 samples; beyond that, use Monte Carlo.
+    Fixed-horizon instances on binary pairs use the marginal-count fast path,
+    O(window_x * N) work for N samples; other alphabets enumerate joint types,
+    O(N^(cells-1)), under the cell budget. Early-decide instances are exactly
+    evaluable for binary pairs up to 64 samples; beyond that, use Monte Carlo.
     """
     _check_instance(config, p, q)
     if config.policy_kind is PolicyKind.FIXED_HORIZON:
@@ -516,6 +576,10 @@ def fit_exponent(
     budgets = sorted(int(v) for v in budget_grid)
     if len(budgets) < 4:
         raise InvalidConfig(f"need at least 4 grid points, got {len(budgets)}")
+    if budgets[0] == budgets[-1]:
+        raise InvalidConfig(
+            f"need at least 2 distinct budgets to fit a slope, got {budgets}"
+        )
     points = []
     for total in budgets:
         if total < config.k or total % config.k != 0:

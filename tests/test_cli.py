@@ -1,7 +1,14 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import seqht
 from seqht import JointPmf, ProtocolConfig, exact_errors
 from seqht.cli import (
     EXIT_BUDGET,
@@ -294,6 +301,62 @@ def test_fit_flat_for_identical_hypotheses(tmp_path, capsys):
     ][0]
     slope = float(summary.split("slope=")[1].split(" ")[0])
     assert abs(slope) <= 1e-3
+
+
+def test_fit_repeated_budget_grid_is_a_validation_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        P_XY=PRODUCT_P,
+        Q_XY=UNIFORM,
+        protocol={"k": 2, "n": 50, "eta": 0.05},
+        N_grid=[200, 200, 200, 200],
+    )
+    assert run(["fit", "--config", cfg]) == EXIT_VALIDATION
+    assert "distinct" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# strict scalar fields
+
+SIM = {"P_XY": PRODUCT_P, "Q_XY": UNIFORM}
+
+
+@pytest.mark.parametrize(
+    "command,body,field",
+    [
+        ("simulate", {**SIM, "protocol": {"k": 2.7, "n": 5}}, "k"),
+        ("simulate", {**SIM, "protocol": {"k": True, "n": 5}}, "k"),
+        ("simulate", {**SIM, "protocol": {"k": 2, "n": "10"}}, "n"),
+        ("simulate", {**SIM, "protocol": {"k": 2, "n": 5, "eta": "0.1"}}, "eta"),
+        ("simulate", {**SIM, "protocol": {"k": 2, "n": 5, "epsilon": "0.05"}}, "epsilon"),
+        ("simulate", {**SIM, "protocol": {"k": 2, "n": 5}, "method": "mc", "trials": "many"}, "trials"),
+        ("simulate", {**SIM, "protocol": {"k": 2, "n": 5}, "method": "mc", "trials": 10, "seed": 1.5}, "seed"),
+        ("exponent", {**SIM, "tolerance": "abc"}, "tolerance"),
+        ("exponent", {**SIM, "max_iterations": 2.5}, "max_iterations"),
+        ("exponent", {**SIM, "grid_step": [1e-5]}, "grid_step"),
+        ("exponent", {**SIM, "protocol": {"epsilon": "0.05"}}, "epsilon"),
+        ("fit", {**SIM, "protocol": {"k": 2, "n": 50}, "N_grid": [100, 200, 300, "400"]}, "N_grid"),
+        ("verify", {"verify": {"cases": "3"}}, "cases"),
+    ],
+)
+def test_bad_scalar_field_is_a_validation_error(tmp_path, capsys, command, body, field):
+    cfg = write_config(tmp_path, **body)
+    assert run([command, "--config", cfg]) == EXIT_VALIDATION
+    assert field in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(seqht.__file__).resolve().parents[1])
+    probe = "import sys, seqht, seqht.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

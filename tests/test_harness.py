@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from _bruteforce import enumerate_errors
+from _oracles import convolution_log_accept
 from seqht import (
     CONTINUE,
     EncoderKind,
@@ -41,7 +42,13 @@ from seqht import (
     verify_wald_identity,
     wilson_halfwidth,
 )
-from seqht.harness import _exact_fixed_binary, _exact_fixed_general
+from seqht.harness import (
+    _binary_log_accept,
+    _binom_logpmf,
+    _exact_fixed_binary,
+    _exact_fixed_general,
+    _typical_count_mask,
+)
 
 UNIFORM = JointPmf.from_probs([[0.25, 0.25], [0.25, 0.25]])
 PRODUCT_P = JointPmf.from_probs([[0.81, 0.09], [0.09, 0.01]])
@@ -160,6 +167,49 @@ def test_general_enumeration_matches_binary_fast_path():
         assert abs(fast.alpha - slow.alpha) <= 1e-12
         assert abs(fast.beta - slow.beta) <= 1e-12
         assert math.isclose(fast.log_beta, slow.log_beta, rel_tol=1e-10)
+
+
+def _oracle_instances():
+    """(p, q, total, eta): random 2x2 pairs, every fifth one in the deep tail
+    (narrow windows at large N), plus degenerate rows and columns."""
+    rng = np.random.default_rng(2109)
+    for case in range(200):
+        p = _random_joint(rng, floor=float(rng.choice([0.0, 0.005, 0.05])))
+        q = _random_joint(rng)
+        if case % 5 == 0:
+            total = int(rng.integers(150, 301))
+            eta = float(rng.uniform(0.01, 0.08))
+        else:
+            total = int(np.exp(rng.uniform(0.0, np.log(300.0))))
+            eta = float(rng.uniform(0.01, 0.4))
+        yield p, q, total, eta
+    for cells in ([[0.5, 0.0], [0.5, 0.0]], [[0.7, 0.3], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]):
+        yield JointPmf.from_probs(cells), UNIFORM, 40, 0.2
+        yield CORRELATED, JointPmf.from_probs(cells), 40, 0.2
+
+
+def test_binary_window_sums_match_convolution_oracle():
+    deep_tail = 0
+    for p, q, total, eta in _oracle_instances():
+        p_x, p_y = marginals(p)
+        x_mask = _typical_count_mask(total, p_x.probs, eta)
+        y_mask = _typical_count_mask(total, p_y.probs, eta)
+        fast_p, fast_q = (_binary_log_accept(j.probs, x_mask, y_mask, total) for j in (p, q))
+        slow_p, slow_q = (convolution_log_accept(j.probs, x_mask, y_mask, total) for j in (p, q))
+        assert abs(-math.expm1(fast_p) - -math.expm1(slow_p)) <= 1e-12
+        assert abs(math.exp(fast_q) - math.exp(slow_q)) <= 1e-12
+        # abs_tol: near beta = 1 the log carries the sum's last-place rounding.
+        assert math.isclose(fast_q, slow_q, rel_tol=1e-12, abs_tol=1e-15)
+        deep_tail += slow_q < -100
+    assert deep_tail >= 30
+
+
+def test_binomial_log_pmf_is_scipy_formula_bit_for_bit():
+    from scipy.stats import binom
+
+    for n, p in [(0, 0.3), (7, 0.0), (7, 1.0), (64, 0.5), (137, 0.9999), (2000, 0.1)]:
+        k = np.arange(n + 1)
+        assert np.array_equal(_binom_logpmf(k, n, p), binom.logpmf(k, n, p))
 
 
 def test_nonbinary_alphabet_matches_inline_enumeration():
@@ -300,6 +350,12 @@ def test_fit_requires_divisible_budgets():
     config = ProtocolConfig(k=4, n=10, eta=0.1)
     with pytest.raises(InvalidConfig):
         fit_exponent(config, CORRELATED, UNIFORM, budget_grid=[40, 80, 120, 121])
+
+
+def test_fit_requires_distinct_budgets():
+    config = ProtocolConfig(k=2, n=10, eta=0.1)
+    with pytest.raises(InvalidConfig, match="distinct"):
+        fit_exponent(config, CORRELATED, UNIFORM, budget_grid=[200, 200, 200, 200])
 
 
 def test_fit_is_flat_for_identical_hypotheses():
