@@ -14,6 +14,7 @@ honest tolerance targets for finite-blocklength slope checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -80,26 +81,33 @@ def _validate_epsilon(epsilon):
         raise InvalidConfig(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
-def ipf_iterates(p: JointPmf, q: JointPmf, sweeps: int):
-    """First ``sweeps`` marginal-fitting iterates, for diagnostics and tests.
+def _ipf_sweeps(p: JointPmf, q: JointPmf):
+    """Endless IPF sweeps from q toward p's marginals.
 
     Each sweep rescales rows to the target row marginal, then columns to the
-    target column marginal, starting from the reference joint itself. Returned
-    matrices are the raw (unnormalized-by-construction, but mass-preserving)
-    iterates after each full sweep.
+    target column marginal, and yields the iterate with the row and column
+    sums it rescaled by (the solver's log-scaling bookkeeping reads these).
     """
-    _check_joint_pair(p, q)
     px = p.probs.sum(axis=1)
     py = p.probs.sum(axis=0)
-    m = q.probs.copy()
-    out = []
-    for _ in range(sweeps):
+    m = q.probs
+    while True:
         rows = m.sum(axis=1)
         m = m * np.where(px > 0, px / np.maximum(rows, 1e-300), 0.0)[:, None]
         cols = m.sum(axis=0)
         m = m * np.where(py > 0, py / np.maximum(cols, 1e-300), 0.0)[None, :]
-        out.append(m.copy())
-    return out
+        yield m, rows, cols
+
+
+def ipf_iterates(p: JointPmf, q: JointPmf, sweeps: int):
+    """First ``sweeps`` marginal-fitting iterates, for diagnostics and tests.
+
+    Starting from the reference joint itself, returned matrices are the raw
+    (unnormalized-by-construction, but mass-preserving) iterates after each
+    full row-then-column sweep.
+    """
+    _check_joint_pair(p, q)
+    return [m for m, _, _ in islice(_ipf_sweeps(p, q), sweeps)]
 
 
 def solve_exponent(
@@ -127,7 +135,6 @@ def solve_exponent(
 
     px = p.probs.sum(axis=1)
     py = p.probs.sum(axis=0)
-    m = q.probs.copy()
     # Cumulative log-scalings: m == exp(log_a)[:, None] * exp(log_b)[None, :] * q.
     log_a = np.zeros(px.shape)
     log_b = np.zeros(py.shape)
@@ -136,19 +143,13 @@ def solve_exponent(
         log_px = np.where(px > 0, np.log(np.maximum(px, 1e-300)), -np.inf)
         log_py = np.where(py > 0, np.log(np.maximum(py, 1e-300)), -np.inf)
 
-    iterations = 0
     residual = np.inf
     converged = False
-    while iterations < opts.max_iterations:
-        iterations += 1
-        rows = m.sum(axis=1)
+    sweeps = islice(_ipf_sweeps(p, q), opts.max_iterations)
+    for iterations, (m, rows, cols) in enumerate(sweeps, start=1):
         with np.errstate(divide="ignore"):
             log_a += np.where(px > 0, log_px - np.log(np.maximum(rows, 1e-300)), -np.inf)
-        m = m * np.where(px > 0, px / np.maximum(rows, 1e-300), 0.0)[:, None]
-        cols = m.sum(axis=0)
-        with np.errstate(divide="ignore"):
             log_b += np.where(py > 0, log_py - np.log(np.maximum(cols, 1e-300)), -np.inf)
-        m = m * np.where(py > 0, py / np.maximum(cols, 1e-300), 0.0)[None, :]
         # Columns are exact right after the column step; only rows can be off.
         residual = float(np.max(np.abs(m.sum(axis=1) - px)))
         if residual <= opts.tolerance:

@@ -10,6 +10,9 @@ computes them three ways, cross-checkable against each other:
 * an exact general-alphabet enumeration over joint types,
 * a vectorized Monte Carlo estimator with reproducible per-trial seeds.
 
+All three classify types with the protocol's one decision rule, so they
+agree on every boundary type.
+
 Everything that could underflow lives in log domain: at a horizon of a few
 thousand samples the type-II error is around exp(-1400), far below the
 smallest positive double, so reports carry log-probabilities alongside the
@@ -44,6 +47,7 @@ from .protocol import (
     REJECT,
     PolicyKind,
     ProtocolConfig,
+    _DecisionRule,
     simulate_batch,
 )
 from .rng import derive_seed
@@ -159,18 +163,6 @@ def _check_instance(config: ProtocolConfig, p: JointPmf, q: JointPmf):
         )
 
 
-def _typical_count_mask(total: int, target: np.ndarray, margin: float) -> np.ndarray:
-    """For binary counts 0..total of symbol 0: is the type within the margin?
-
-    Uses the same float operations as the protocol's own typicality test
-    (frequency division, per-symbol absolute gap, max) so the enumeration and
-    the simulator classify boundary types identically.
-    """
-    c = np.arange(total + 1, dtype=np.float64)
-    gap = np.maximum(np.abs(c / total - target[0]), np.abs((total - c) / total - target[1]))
-    return gap <= margin
-
-
 def _binom_logpmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
     """log P(Bin(n, p) = k) for integer k in 0..n.
 
@@ -238,9 +230,8 @@ def _binary_log_accept(
     with the window masses read off two-sided log tails of B1 built once per
     a. Work is O(window_x * total).
 
-    The y-window is an interval [lo, hi]: the typicality gap is a maximum of
-    absolute values of functions monotone in the count (also after
-    rounding), so it is quasi-convex and each sublevel set is contiguous.
+    The y-window is an interval [lo, hi]: each symbol's test holds on an
+    interval of counts (its rounded frequency is monotone in the count).
     """
     a_vals = np.nonzero(x_mask)[0]
     b_vals = np.nonzero(y_mask)[0]
@@ -270,10 +261,9 @@ def _report_from_log_accepts(
     config: ProtocolConfig,
     log_accept_p: float,
     log_accept_q: float,
-    e_t_h0: float,
-    e_t_h1: float,
     reject_empty: bool = False,
 ) -> ErrorReport:
+    """Fixed-horizon report: stops at round n under both hypotheses."""
     if reject_empty:
         # Nothing is ever rejected (e.g. eta >= 1), so both hypotheses
         # accept with probability exactly 1; bypass the log-domain sums,
@@ -292,26 +282,21 @@ def _report_from_log_accepts(
         beta=min(beta, 1.0),
         log_alpha=log_alpha,
         log_beta=log_accept_q,
-        e_t_h0=e_t_h0,
-        e_t_h1=e_t_h1,
+        e_t_h0=float(config.n),
+        e_t_h1=float(config.n),
         method="exact",
     )
 
 
 def _exact_fixed_binary(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorReport:
     total = config.total_samples
-    p_x, p_y = marginals(p)
-    x_mask = _typical_count_mask(total, p_x.probs, config.eta)
-    y_mask = _typical_count_mask(total, p_y.probs, config.eta)
+    rule = _DecisionRule(config, *marginals(p))
+    x_mask = rule.binary_window(total, rule.p_x.probs)
+    y_mask = rule.binary_window(total, rule.p_y.probs)
     log_accept_p = _binary_log_accept(p.probs, x_mask, y_mask, total)
     log_accept_q = _binary_log_accept(q.probs, x_mask, y_mask, total)
     return _report_from_log_accepts(
-        config,
-        log_accept_p,
-        log_accept_q,
-        float(config.n),
-        float(config.n),
-        reject_empty=bool(x_mask.all() and y_mask.all()),
+        config, log_accept_p, log_accept_q, reject_empty=bool(x_mask.all() and y_mask.all())
     )
 
 
@@ -328,8 +313,12 @@ def _exact_fixed_general(
             f"{n_types} joint types at N={total} exceeds the cell budget "
             f"{cell_budget}; use the Monte Carlo method"
         )
-    px, py = (m.probs for m in marginals(p))
-    eta = config.eta
+    rule = _DecisionRule(config, *marginals(p))
+    # ok[s][count] tables of the rule's per-symbol test, so the loop below
+    # scores a type by lookups alone.
+    counts_0_to_total = np.arange(total + 1)[:, None]
+    ok_x = rule.symbol_ok(counts_0_to_total, total, rule.p_x.probs).T.tolist()
+    ok_y = rule.symbol_ok(counts_0_to_total, total, rule.p_y.probs).T.tolist()
 
     # Plain-Python inner loop: profiling shows per-type numpy dispatch costs
     # more than the arithmetic itself at these sizes.
@@ -355,24 +344,15 @@ def _exact_fixed_general(
 
     def _score(counts: list[int]):
         nonlocal rejected_any
-        ok = True
         for xi in range(nx):
-            row = sum(counts[xi * ny : (xi + 1) * ny])
-            if abs(row / total - px[xi]) > eta:
-                ok = False
-                break
-        if ok:
-            for yi in range(ny):
-                col = sum(counts[yi::ny])
-                if abs(col / total - py[yi]) > eta:
-                    ok = False
-                    break
-        if not ok:
-            rejected_any = True
-            return
-        base = lg_total
-        wp = base
-        wq = base
+            if not ok_x[xi][sum(counts[xi * ny : (xi + 1) * ny])]:
+                rejected_any = True
+                return
+        for yi in range(ny):
+            if not ok_y[yi][sum(counts[yi::ny])]:
+                rejected_any = True
+                return
+        wp = wq = lg_total
         for c, lp, lq in zip(counts, log_p, log_q):
             if c == 0:
                 continue
@@ -386,17 +366,12 @@ def _exact_fixed_general(
     log_accept_p = float(logsumexp(accept_logs_p)) if accept_logs_p else -np.inf
     log_accept_q = float(logsumexp(accept_logs_q)) if accept_logs_q else -np.inf
     return _report_from_log_accepts(
-        config,
-        log_accept_p,
-        log_accept_q,
-        float(config.n),
-        float(config.n),
-        reject_empty=not rejected_any,
+        config, log_accept_p, log_accept_q, reject_empty=not rejected_any
     )
 
 
 def _early_binary_outcome(
-    config: ProtocolConfig, p: JointPmf, joint: np.ndarray
+    rule: _DecisionRule, joint: np.ndarray
 ) -> tuple[float, float, float]:
     """(accept mass, reject mass, E[T]) for early-decide under one measure.
 
@@ -406,9 +381,8 @@ def _early_binary_outcome(
     y-count is a two-binomial convolution. Linear domain is safe at the
     <= 64 sample sizes this supports.
     """
-    n, k = config.n, config.k
+    n, k = rule.config.n, rule.config.k
     total = n * k
-    p_x, p_y = marginals(p)
     ry0 = joint[0, 0] + joint[1, 0]
     ry1 = joint[0, 1] + joint[1, 1]
     inc = np.exp(_binom_logpmf(np.arange(k + 1), k, ry0))
@@ -418,10 +392,7 @@ def _early_binary_outcome(
     e_t = 0.0
     for t in range(1, n):
         surv = np.convolve(surv, inc)
-        tk = t * k
-        c = np.arange(tk + 1, dtype=np.float64)
-        gap = np.maximum(np.abs(c / tk - p_y.probs[0]), np.abs((tk - c) / tk - p_y.probs[1]))
-        killed = gap > config.reject_margin(t)
+        killed = ~rule.binary_window(t * k, rule.p_y.probs, rule.reject_margins[t - 1])
         killed_mass = float(surv[killed].sum())
         reject_mass += killed_mass
         e_t += t * killed_mass
@@ -429,8 +400,8 @@ def _early_binary_outcome(
     surv = np.convolve(surv, inc)
     e_t += n * float(surv.sum())
 
-    y_ok = _typical_count_mask(total, p_y.probs, config.eta)
-    x_mask = _typical_count_mask(total, p_x.probs, config.eta)
+    y_ok = rule.binary_window(total, rule.p_y.probs)
+    x_mask = rule.binary_window(total, rule.p_x.probs)
     x_all = bool(x_mask.all())
     # P(x = 0 | y): one rate per observed y-value.
     u0 = joint[0, 0] / ry0 if ry0 > 0 else 0.0
@@ -454,8 +425,9 @@ def _early_binary_outcome(
 
 
 def _exact_early_binary(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorReport:
-    accept_p, reject_p, e_t_h0 = _early_binary_outcome(config, p, p.probs)
-    accept_q, reject_q, e_t_h1 = _early_binary_outcome(config, p, q.probs)
+    rule = _DecisionRule(config, *marginals(p))
+    accept_p, reject_p, e_t_h0 = _early_binary_outcome(rule, p.probs)
+    accept_q, reject_q, e_t_h1 = _early_binary_outcome(rule, q.probs)
     alpha = min(max(reject_p, 0.0), 1.0)
     # A reject region of measure zero means certain acceptance; pin the
     # endpoint instead of reporting 1 minus accumulated rounding.
@@ -571,7 +543,8 @@ def fit_exponent(
     ``config`` is the template whose horizon is re-derived as N / k for each
     grid entry; the slope in nats per sample is the empirical exponent. A
     grid (rather than one large N) cancels the polynomial prefactor from the
-    type counts, which only perturbs -ln(beta) by O(log N).
+    type counts, which only perturbs -ln(beta) by O(log N). A budget with
+    beta exactly 0 has no finite -ln(beta) and raises ``InvalidConfig``.
     """
     budgets = sorted(int(v) for v in budget_grid)
     if len(budgets) < 4:
@@ -588,6 +561,11 @@ def fit_exponent(
             )
         cfg = replace(config, n=total // config.k)
         report = exact_errors(cfg, p, q, cell_budget=cell_budget)
+        if report.log_beta == -math.inf:
+            raise InvalidConfig(
+                f"beta is exactly 0 at budget {total}: its acceptance region has "
+                "zero mass under the alternative, so -ln(beta) is infinite"
+            )
         points.append((total, -report.log_beta))
 
     x = np.array([float(n) for n, _ in points])
@@ -607,17 +585,22 @@ def fit_exponent(
 StoppingRule = Callable[[tuple[int, ...]], bool]
 
 
-def _flat_probs(dist: Pmf | JointPmf) -> np.ndarray:
-    return dist.probs.ravel()
-
-
-def _enumeration_guard(symbols: int, horizon: int, node_budget: int = 2_000_000):
+def _composite_pair(
+    p: Pmf | JointPmf, q: Pmf | JointPmf, horizon: int, node_budget: int = 2_000_000
+):
+    """(p, q) flattened over the composite alphabet, checked for exact enumeration."""
+    pv, qv = p.probs.ravel(), q.probs.ravel()
+    if pv.shape != qv.shape:
+        raise LengthMismatch("distributions have different alphabet sizes")
+    if qv.min() <= 0.0:
+        raise NotStrictlyPositive("the alternative must be strictly positive")
     if horizon < 1:
         raise HorizonTooLarge(f"horizon must be >= 1, got {horizon}")
-    if symbols**horizon > node_budget:
+    if pv.size**horizon > node_budget:
         raise HorizonTooLarge(
-            f"{symbols}^{horizon} sequences exceed the enumeration budget {node_budget}"
+            f"{pv.size}^{horizon} sequences exceed the enumeration budget {node_budget}"
         )
+    return pv, qv
 
 
 def verify_wald_identity(
@@ -633,14 +616,8 @@ def verify_wald_identity(
     The left side is the expected log-likelihood ratio of the stopped path,
     a telescoping sum whose expectation the identity pins to E[T] * D.
     """
-    pv = _flat_probs(p)
-    qv = _flat_probs(q)
-    if pv.shape != qv.shape:
-        raise LengthMismatch("distributions have different alphabet sizes")
-    if qv.min() <= 0.0:
-        raise NotStrictlyPositive("the alternative must be strictly positive")
+    pv, qv = _composite_pair(p, q, horizon_cap)
     m = pv.size
-    _enumeration_guard(m, horizon_cap)
 
     log_ratio = np.where(pv > 0, np.log(np.maximum(pv, 1e-300) / qv), 0.0)
     lhs = 0.0
@@ -662,9 +639,7 @@ def verify_wald_identity(
                 else:
                     nxt.append((prefix2, pp2, llr2))
         active = nxt
-    per_sample = kl_divergence(
-        Pmf.from_probs(pv), Pmf.from_probs(qv)
-    )
+    per_sample = kl_divergence(Pmf.from_probs(pv), Pmf.from_probs(qv))
     return WaldReport(
         lhs=lhs,
         rhs=e_t * per_sample,
@@ -689,14 +664,8 @@ def verify_acceptance_bound(
     entropy maximum in nats; the looser literal "+1 nat" form is reported
     alongside.
     """
-    pv = _flat_probs(p)
-    qv = _flat_probs(q)
-    if pv.shape != qv.shape:
-        raise LengthMismatch("distributions have different alphabet sizes")
-    if qv.min() <= 0.0:
-        raise NotStrictlyPositive("the alternative must be strictly positive")
+    pv, qv = _composite_pair(p, q, horizon_cap)
     m = pv.size
-    _enumeration_guard(m, horizon_cap)
 
     if isinstance(stopping, Mapping):
         law = {int(t): float(w) for t, w in stopping.items() if w > 0}

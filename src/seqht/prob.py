@@ -52,10 +52,6 @@ class Alphabet:
         object.__setattr__(self, "labels", labels)
 
 
-def binary_alphabet() -> Alphabet:
-    return Alphabet(2)
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.setflags(write=False)

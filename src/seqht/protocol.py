@@ -6,9 +6,11 @@ its own y^{tk} into a verdict in {accept null, reject null, continue}. A
 feedback bit of 1 requests another round; 0 stops. The stopping time is the
 number of rounds until the first non-continue verdict.
 
-The decision rule is marginal typicality with max-norm margin eta: accept
-iff both empirical marginals are eta-close to the null marginals. Both
-encoders (a single typicality bit, or the full empirical type) induce the
+The decision rule is marginal typicality with margin eta: accept iff every
+symbol s of both empirical marginals has |count_s/N - p_s| <= eta, on raw
+integer counts with no renormalisation. The scalar protocol, the batch
+simulator and the exact evaluators all share this one test (``_DecisionRule``).
+Both encoders (a single typicality bit, or the full empirical type) induce the
 same acceptance region; the fixed-horizon policy always decides at round n,
 while the early-decide policy may reject sooner on a widened margin.
 
@@ -22,11 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (
+    AlphabetMismatch,
     BadLength,
     InconsistentMessages,
     InvalidConfig,
@@ -38,7 +42,6 @@ from .prob import (
     Pmf,
     count_type_vectors,
     empirical_type,
-    linf_distance,
     marginals,
 )
 from .rng import categorical_cdf, sample_categorical, uniform_block, uniforms
@@ -214,28 +217,49 @@ def _blocked_length(config: ProtocolConfig, length: int) -> int:
     return length // config.k
 
 
+@dataclass(frozen=True)
+class _DecisionRule:
+    """The decision center's rule for one (config, null marginals), built once.
+
+    ``p_y`` is None for a sensor-side rule that only encodes.
+    """
+
+    config: ProtocolConfig
+    p_x: Pmf
+    p_y: Pmf | None = None
+
+    @cached_property
+    def reject_margins(self) -> np.ndarray:
+        """Early-reject margins of rounds 1..n-1."""
+        return np.array([self.config.reject_margin(t) for t in range(1, self.config.n)])
+
+    def symbol_ok(self, counts, total, target: np.ndarray, margin=None) -> np.ndarray:
+        """The typicality test of each symbol s, on raw integer counts:
+        |counts[..., s] / total - target[s]| <= margin (eta unless given)."""
+        margin = self.config.eta if margin is None else margin
+        return np.abs(np.asarray(counts) / total - target) <= margin
+
+    def typical(self, counts, total, target: np.ndarray, margin=None) -> np.ndarray:
+        return self.symbol_ok(counts, total, target, margin).all(axis=-1)
+
+    def binary_window(self, total: int, target: np.ndarray, margin=None) -> np.ndarray:
+        """Typicality of each binary type (c, total - c), c = 0..total."""
+        c = np.arange(total + 1)
+        return self.typical(np.stack((c, total - c), axis=-1), total, target, margin)
+
+
 def encode(config: ProtocolConfig, x_prefix: Sequence[int], p_x: Pmf) -> Message:
     """Sensor compression of everything observed so far.
 
-    One-bit: sends 1 iff the empirical x-type sits within eta of the null
-    marginal in max norm. Full-type: sends the empirical type itself.
+    One-bit: sends 1 iff the empirical x-type is typical for the null
+    marginal. Full-type: sends the empirical type itself.
     """
     t = _blocked_length(config, len(x_prefix))
     x_type = empirical_type(x_prefix, p_x.alphabet)
     if config.encoder_kind is EncoderKind.ONE_BIT:
-        bit = 1 if linf_distance(x_type, p_x) <= config.eta else 0
-        return Message(step=t, payload=bit)
+        typical = _DecisionRule(config, p_x).typical(x_type.counts, len(x_prefix), p_x.probs)
+        return Message(step=t, payload=int(typical))
     return Message(step=t, payload=x_type)
-
-
-def _x_typical(config: ProtocolConfig, message: Message, p_x: Pmf) -> bool:
-    if config.encoder_kind is EncoderKind.ONE_BIT:
-        if not isinstance(message.payload, int):
-            raise InconsistentMessages("one-bit decider received a non-bit payload")
-        return message.payload == 1
-    if not isinstance(message.payload, EmpiricalType):
-        raise InconsistentMessages("full-type decider received a non-type payload")
-    return linf_distance(message.payload, p_x) <= config.eta
 
 
 def decide(
@@ -248,10 +272,17 @@ def decide(
     """Decision-center verdict at round t: ACCEPT, REJECT, or CONTINUE.
 
     Fixed-horizon: CONTINUE before round n; at n accept iff the sensor's
-    latest message certifies x-typicality and the local y-type is eta-close
-    to the null y-marginal. Early-decide: additionally reject at t < n when
-    the y-type strays beyond the widened margin; acceptance still only at n.
+    latest message certifies x-typicality and the local y-type is typical
+    for the null y-marginal. Early-decide: additionally reject at t < n when
+    the y-type is atypical on the widened margin; acceptance still only at n.
     """
+    return _decide(_DecisionRule(config, *marginals(p_joint)), messages, y_prefix, t)
+
+
+def _decide(
+    rule: _DecisionRule, messages: Sequence[Message], y_prefix: Sequence[int], t: int
+) -> int | None:
+    config, p_y = rule.config, rule.p_y
     if len(messages) != t:
         raise InconsistentMessages(f"expected {t} messages by round {t}, got {len(messages)}")
     if messages and messages[-1].step != t:
@@ -260,10 +291,9 @@ def decide(
         )
     if len(y_prefix) != t * config.k:
         raise BadLength(f"y prefix has {len(y_prefix)} samples, expected {t * config.k}")
-    p_x, p_y = marginals(p_joint)
-    if config.encoder_kind is EncoderKind.FULL_TYPE:
-        payload = messages[-1].payload
-        if isinstance(payload, EmpiricalType) and payload.total != t * config.k:
+    payload = messages[-1].payload if messages else None
+    if isinstance(payload, EmpiricalType) and config.encoder_kind is EncoderKind.FULL_TYPE:
+        if payload.total != t * config.k:
             raise InconsistentMessages(
                 f"full-type payload covers {payload.total} samples, expected {t * config.k}"
             )
@@ -271,16 +301,40 @@ def decide(
     if t < config.n:
         if config.policy_kind is PolicyKind.EARLY_DECIDE:
             y_type = empirical_type(y_prefix, p_y.alphabet)
-            if linf_distance(y_type, p_y) > config.reject_margin(t):
+            margin = rule.reject_margins[t - 1]
+            if not rule.typical(y_type.counts, len(y_prefix), p_y.probs, margin):
                 return REJECT
         return CONTINUE
     if t > config.n:
         raise InvalidConfig(f"round {t} beyond the horizon n={config.n}")
 
     y_type = empirical_type(y_prefix, p_y.alphabet)
-    y_ok = linf_distance(y_type, p_y) <= config.eta
-    x_ok = _x_typical(config, messages[-1], p_x)
+    y_ok = rule.typical(y_type.counts, len(y_prefix), p_y.probs)
+    if config.encoder_kind is EncoderKind.ONE_BIT:
+        if not isinstance(payload, int):
+            raise InconsistentMessages("one-bit decider received a non-bit payload")
+        x_ok = payload == 1
+    else:
+        if not isinstance(payload, EmpiricalType):
+            raise InconsistentMessages("full-type decider received a non-type payload")
+        if payload.is_joint or payload.alphabet_x != rule.p_x.alphabet:
+            raise AlphabetMismatch("full-type payload is not a type over the x-alphabet")
+        x_ok = rule.typical(payload.counts, payload.total, rule.p_x.probs)
     return ACCEPT if (x_ok and y_ok) else REJECT
+
+
+def _replay(rule: _DecisionRule, x_seq: Sequence[int], y_seq: Sequence[int]):
+    """Encode and decide round by round until the policy stops or the samples
+    run out; returns the messages sent and each round's verdict."""
+    k = rule.config.k
+    messages: list[Message] = []
+    verdicts: list[int | None] = []
+    for t in range(1, min(len(x_seq) // k, rule.config.n) + 1):
+        messages.append(encode(rule.config, x_seq[: t * k], rule.p_x))
+        verdicts.append(_decide(rule, messages, y_seq[: t * k], t))
+        if verdicts[-1] is not CONTINUE:
+            break
+    return messages, verdicts
 
 
 def sample_pairs(joint: JointPmf, seed: int, start: int, count: int):
@@ -301,38 +355,28 @@ def run_protocol(config: ProtocolConfig, p_null: JointPmf, source: SourceModel) 
     ``p_null`` is the null joint the decision rule tests against; the source
     draws from whichever joint its hypothesis dictates. Deterministic in
     (config, p_null, source): replaying the same seed yields an identical
-    trace.
+    trace. The whole horizon is drawn at once; being addressed by counter,
+    the rounds played see the same samples as in a round-by-round draw.
     """
     if source.joint.probs.shape != p_null.probs.shape:
         raise LengthMismatch(
             f"source joint shape {source.joint.probs.shape} does not match "
             f"null joint shape {p_null.probs.shape}"
         )
-    p_x, _ = marginals(p_null)
-    xs: list[int] = []
-    ys: list[int] = []
-    messages: list[Message] = []
-    verdicts: list[int | None] = []
-    feedback: list[int] = []
-    for t in range(1, config.n + 1):
-        bx, by = sample_pairs(source.joint, source.rng_seed, (t - 1) * config.k, config.k)
-        xs.extend(int(v) for v in bx)
-        ys.extend(int(v) for v in by)
-        messages.append(encode(config, xs, p_x))
-        verdict = decide(config, messages, ys, t, p_null)
-        verdicts.append(verdict)
-        feedback.append(1 if verdict is CONTINUE else 0)
-        if verdict is not CONTINUE:
-            return Trace(
-                stopping_time=t,
-                messages=tuple(messages),
-                feedback_bits=tuple(feedback),
-                decision=verdict,
-                x_seq=tuple(xs),
-                y_seq=tuple(ys),
-                per_step_verdicts=tuple(verdicts),
-            )
-    raise InvalidConfig("policy failed to decide by the horizon")  # unreachable
+    rule = _DecisionRule(config, *marginals(p_null))
+    draws = sample_pairs(source.joint, source.rng_seed, 0, config.total_samples)
+    xs, ys = (v.tolist() for v in draws)
+    messages, verdicts = _replay(rule, xs, ys)
+    t = len(verdicts)
+    return Trace(
+        stopping_time=t,
+        messages=tuple(messages),
+        feedback_bits=(1,) * (t - 1) + (0,),
+        decision=verdicts[-1],
+        x_seq=tuple(xs[: t * config.k]),
+        y_seq=tuple(ys[: t * config.k]),
+        per_step_verdicts=tuple(verdicts),
+    )
 
 
 def acceptance_region_membership(
@@ -348,22 +392,21 @@ def acceptance_region_membership(
     """
     if len(x_full) != len(y_full):
         raise BadLength(f"sequence lengths differ: {len(x_full)} vs {len(y_full)}")
-    rounds = _blocked_length(config, len(x_full))
-    p_x, _ = marginals(p_null)
-    messages: list[Message] = []
-    for t in range(1, min(rounds, config.n) + 1):
-        block = t * config.k
-        messages.append(encode(config, x_full[:block], p_x))
-        verdict = decide(config, messages, y_full[:block], t, p_null)
-        if verdict is not CONTINUE:
-            if len(x_full) != block:
-                raise BadLength(
-                    f"protocol stops after {block} samples but {len(x_full)} were supplied"
-                )
-            return verdict == ACCEPT
-    raise BadLength(
-        f"policy does not stop within {len(x_full)} samples (needs up to {config.total_samples})"
-    )
+    _blocked_length(config, len(x_full))
+    _, verdicts = _replay(_DecisionRule(config, *marginals(p_null)), x_full, y_full)
+    if verdicts[-1] is CONTINUE:
+        raise BadLength(
+            f"policy does not stop within {len(x_full)} samples (needs up to {config.total_samples})"
+        )
+    stop = len(verdicts) * config.k
+    if len(x_full) != stop:
+        raise BadLength(f"protocol stops after {stop} samples but {len(x_full)} were supplied")
+    return verdicts[-1] == ACCEPT
+
+
+def _symbol_counts(seq: np.ndarray, size: int) -> np.ndarray:
+    """Count of each symbol 0..size-1 along the last axis, stacked last."""
+    return np.stack([(seq == s).sum(axis=-1) for s in range(size)], axis=-1)
 
 
 def simulate_batch(
@@ -393,32 +436,19 @@ def simulate_batch(
     x = flat // ny
     y = flat % ny
 
-    p_x, p_y = marginals(p_null)
-    # Final-round typicality from whole-sequence symbol counts.
-    x_gap = np.zeros(trials)
-    for s in range(nx):
-        freq = (x == s).sum(axis=1) / total
-        x_gap = np.maximum(x_gap, np.abs(freq - p_x.probs[s]))
-    y_gap = np.zeros(trials)
-    for s in range(ny):
-        freq = (y == s).sum(axis=1) / total
-        y_gap = np.maximum(y_gap, np.abs(freq - p_y.probs[s]))
-
-    final_accept = (x_gap <= config.eta) & (y_gap <= config.eta)
-    decisions = np.where(final_accept, ACCEPT, REJECT).astype(np.int64)
+    rule = _DecisionRule(config, *marginals(p_null))
+    x_ok = rule.typical(_symbol_counts(x, nx), total, rule.p_x.probs)
+    y_ok = rule.typical(_symbol_counts(y, ny), total, rule.p_y.probs)
+    decisions = np.where(x_ok & y_ok, ACCEPT, REJECT).astype(np.int64)
     stop = np.full(trials, n, dtype=np.int64)
 
     if config.policy_kind is PolicyKind.EARLY_DECIDE and n > 1:
         # Per-round cumulative y counts drive the early-reject scan; this
         # trajectory work is skipped entirely for the fixed-horizon policy.
-        y_counts = np.empty((trials, n - 1, ny))
-        blocks = y.reshape(trials, n, k)
-        for s in range(ny):
-            y_counts[:, :, s] = (blocks == s).sum(axis=2).cumsum(axis=1)[:, : n - 1]
-        round_totals = (np.arange(1, n, dtype=np.float64) * k)[None, :, None]
-        y_gaps_per_round = np.abs(y_counts / round_totals - p_y.probs[None, None, :]).max(axis=2)
-        margins = np.array([config.reject_margin(t) for t in range(1, n)])
-        early = y_gaps_per_round > margins[None, :]
+        y_counts = _symbol_counts(y.reshape(trials, n, k), ny).cumsum(axis=1)[:, : n - 1]
+        round_totals = (np.arange(1, n) * k)[:, None]
+        margins = rule.reject_margins[:, None]
+        early = ~rule.typical(y_counts, round_totals, rule.p_y.probs, margins)
         any_early = early.any(axis=1)
         first = np.argmax(early, axis=1) + 1
         stop = np.where(any_early, first, stop)

@@ -315,6 +315,20 @@ def test_fit_repeated_budget_grid_is_a_validation_error(tmp_path, capsys):
     assert "distinct" in capsys.readouterr().err
 
 
+def test_fit_zero_beta_budget_is_a_validation_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        P_XY=[[0.7, 0.1], [0.1, 0.1]],
+        Q_XY=UNIFORM,
+        protocol={"k": 2, "n": 10, "eta": 0.001},
+        N_grid=[20, 22, 40, 60],
+    )
+    assert run(["fit", "--config", cfg]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "budget 22" in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # strict scalar fields
 

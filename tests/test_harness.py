@@ -47,8 +47,8 @@ from seqht.harness import (
     _binom_logpmf,
     _exact_fixed_binary,
     _exact_fixed_general,
-    _typical_count_mask,
 )
+from seqht.protocol import _DecisionRule
 
 UNIFORM = JointPmf.from_probs([[0.25, 0.25], [0.25, 0.25]])
 PRODUCT_P = JointPmf.from_probs([[0.81, 0.09], [0.09, 0.01]])
@@ -191,9 +191,9 @@ def _oracle_instances():
 def test_binary_window_sums_match_convolution_oracle():
     deep_tail = 0
     for p, q, total, eta in _oracle_instances():
-        p_x, p_y = marginals(p)
-        x_mask = _typical_count_mask(total, p_x.probs, eta)
-        y_mask = _typical_count_mask(total, p_y.probs, eta)
+        rule = _DecisionRule(ProtocolConfig(k=total, n=1, eta=eta), *marginals(p))
+        x_mask = rule.binary_window(total, rule.p_x.probs)
+        y_mask = rule.binary_window(total, rule.p_y.probs)
         fast_p, fast_q = (_binary_log_accept(j.probs, x_mask, y_mask, total) for j in (p, q))
         slow_p, slow_q = (convolution_log_accept(j.probs, x_mask, y_mask, total) for j in (p, q))
         assert abs(-math.expm1(fast_p) - -math.expm1(slow_p)) <= 1e-12
@@ -212,40 +212,58 @@ def test_binomial_log_pmf_is_scipy_formula_bit_for_bit():
         assert np.array_equal(_binom_logpmf(k, n, p), binom.logpmf(k, n, p))
 
 
+def _inline_enumeration_accept(config, p_null, measure):
+    """Accept mass of ``measure`` by replaying encode/decide on every 3x2 pair of
+    sequences, with verdicts cached per (sensor bits, y-sequence)."""
+    k, n = config.k, config.n
+    p_x, _ = marginals(p_null)
+    verdicts = {}
+
+    def replay(bits, y_seq):
+        msgs = []
+        for t in range(1, n + 1):
+            msgs.append(Message(step=t, payload=bits[t - 1]))
+            verdict = decide(config, msgs, list(y_seq[: k * t]), t, p_null)
+            if verdict is not CONTINUE:
+                return verdict
+        raise AssertionError("policy must stop by the horizon")
+
+    accept = 0.0
+    total = 0.0
+    for x_seq in itertools.product(range(3), repeat=k * n):
+        bits = tuple(encode(config, list(x_seq[: k * t]), p_x).payload for t in range(1, n + 1))
+        for y_seq in itertools.product(range(2), repeat=k * n):
+            w = 1.0
+            for a, b in zip(x_seq, y_seq):
+                w *= measure.probs[a, b]
+            if (bits, y_seq) not in verdicts:
+                verdicts[bits, y_seq] = replay(bits, y_seq)
+            accept += w * (verdicts[bits, y_seq] == 0)
+            total += w
+    assert abs(total - 1.0) <= 1e-12
+    return accept
+
+
 def test_nonbinary_alphabet_matches_inline_enumeration():
     rng = np.random.default_rng(23)
     raw_p = rng.dirichlet(np.ones(6)).reshape(3, 2) * 0.7 + 0.05
     raw_q = rng.dirichlet(np.ones(6)).reshape(3, 2) * 0.7 + 0.05
-    p = JointPmf.from_probs(raw_p / raw_p.sum())
-    q = JointPmf.from_probs(raw_q / raw_q.sum())
-    config = ProtocolConfig(k=2, n=2, eta=0.3)
-    report = exact_errors(config, p, q)
-
-    p_x, _ = marginals(p)
-
-    def sweep(measure):
-        accept = 0.0
-        total = 0.0
-        for x_seq in itertools.product(range(3), repeat=4):
-            for y_seq in itertools.product(range(2), repeat=4):
-                w = 1.0
-                for a, b in zip(x_seq, y_seq):
-                    w *= measure.probs[a, b]
-                verdict = CONTINUE
-                msgs = []
-                for t in (1, 2):
-                    msgs.append(encode(config, list(x_seq[: 2 * t]), p_x))
-                    msgs[-1:] = [Message(step=t, payload=msgs[-1].payload)]
-                    verdict = decide(config, msgs, list(y_seq[: 2 * t]), t, p)
-                    if verdict is not CONTINUE:
-                        break
-                accept += w * (verdict == 0)
-                total += w
-        assert abs(total - 1.0) <= 1e-12
-        return accept
-
-    assert abs(report.alpha - (1.0 - sweep(p))) <= 1e-12
-    assert abs(report.beta - sweep(q)) <= 1e-12
+    instances = [
+        (raw_p / raw_p.sum(), raw_q / raw_q.sum(), ProtocolConfig(k=2, n=2, eta=0.3)),
+        # Count (2, 3, 1) of 6 is exactly 0.25 off the x-marginal on one
+        # symbol: typical on raw counts, atypical after renormalising.
+        (
+            [[0.25, 0.25], [0.125, 0.125], [0.125, 0.125]],
+            [[0.1, 0.2], [0.3, 0.1], [0.1, 0.2]],
+            ProtocolConfig(k=2, n=3, eta=0.25),
+        ),
+    ]
+    for raw_p, raw_q, config in instances:
+        p = JointPmf.from_probs(raw_p)
+        q = JointPmf.from_probs(raw_q)
+        report = exact_errors(config, p, q)
+        assert abs(report.alpha - (1.0 - _inline_enumeration_accept(config, p, p))) <= 1e-12
+        assert abs(report.beta - _inline_enumeration_accept(config, p, q)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +374,14 @@ def test_fit_requires_distinct_budgets():
     config = ProtocolConfig(k=2, n=10, eta=0.1)
     with pytest.raises(InvalidConfig, match="distinct"):
         fit_exponent(config, CORRELATED, UNIFORM, budget_grid=[200, 200, 200, 200])
+
+
+def test_fit_rejects_budget_with_zero_beta():
+    # At N = 22 no x-count lies within 0.001 of 0.8, so beta is exactly 0.
+    p = JointPmf.from_probs([[0.7, 0.1], [0.1, 0.1]])
+    config = ProtocolConfig(k=2, n=10, eta=0.001)
+    with pytest.raises(InvalidConfig, match="budget 22"):
+        fit_exponent(config, p, UNIFORM, budget_grid=[20, 22, 40, 60])
 
 
 def test_fit_is_flat_for_identical_hypotheses():

@@ -263,15 +263,25 @@ def test_early_decide_verdict_invariant_under_block_permutations():
         assert acceptance_region_membership(cfg, P_JOINT, tuple(x), tuple(y)) == verdict
 
 
-@pytest.mark.parametrize("policy", ["fixed_horizon", "early_decide"])
-@pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
-def test_simulate_batch_matches_protocol_runs(policy, hypothesis):
-    cfg = ProtocolConfig(k=2, n=6, eta=0.2, policy_kind=policy)
-    joint = P_JOINT if hypothesis is Hypothesis.H0 else Q_UNIFORM
+def _batch_cases():
+    p_3x2 = JointPmf.from_probs([[0.25, 0.25], [0.125, 0.125], [0.125, 0.125]])
+    q_3x2 = JointPmf.from_probs([[0.1, 0.2], [0.3, 0.1], [0.1, 0.2]])
+    for hypothesis in (Hypothesis.H0, Hypothesis.H1):
+        for policy in ("fixed_horizon", "early_decide"):
+            case = f"{hypothesis.value}-{policy}"
+            yield pytest.param(policy, hypothesis, P_JOINT, Q_UNIFORM, 0.2, id=case)
+            # Types exactly 0.25 off a 3-symbol marginal sit on the boundary.
+            yield pytest.param(policy, hypothesis, p_3x2, q_3x2, 0.25, id=f"{case}-3x2")
+
+
+@pytest.mark.parametrize("policy, hypothesis, p_null, alternative, eta", list(_batch_cases()))
+def test_simulate_batch_matches_protocol_runs(policy, hypothesis, p_null, alternative, eta):
+    cfg = ProtocolConfig(k=2, n=6, eta=eta, policy_kind=policy)
+    joint = p_null if hypothesis is Hypothesis.H0 else alternative
     seeds = derive_seed(321, np.arange(64, dtype=np.uint64))
-    decisions, stops = simulate_batch(cfg, P_JOINT, joint, seeds)
+    decisions, stops = simulate_batch(cfg, p_null, joint, seeds)
     for j, seed in enumerate(seeds):
-        trace = run_protocol(cfg, P_JOINT, SourceModel(hypothesis, joint, int(seed)))
+        trace = run_protocol(cfg, p_null, SourceModel(hypothesis, joint, int(seed)))
         assert trace.decision == decisions[j]
         assert trace.stopping_time == stops[j]
 
