@@ -204,6 +204,14 @@ def marginals(j: JointPmf) -> tuple[Pmf, Pmf]:
     )
 
 
+def _symbols(seq: Sequence[int], alphabet: Alphabet) -> np.ndarray:
+    """The sequence as an int64 array, checked to hold only symbols of the alphabet."""
+    s = np.asarray(seq, dtype=np.int64)
+    if np.any(s < 0) or np.any(s >= alphabet.size):
+        raise AlphabetMismatch("sequence symbol outside the alphabet")
+    return s
+
+
 def empirical_type(
     seq_x: Sequence[int],
     alphabet_x: Alphabet,
@@ -211,11 +219,9 @@ def empirical_type(
     alphabet_y: Alphabet | None = None,
 ) -> EmpiricalType:
     """Tally a symbol sequence (or an aligned pair of sequences) into counts."""
-    x = np.asarray(seq_x, dtype=np.int64)
+    x = _symbols(seq_x, alphabet_x)
     if x.size == 0:
         raise LengthMismatch("cannot take the type of an empty sequence")
-    if np.any(x < 0) or np.any(x >= alphabet_x.size):
-        raise AlphabetMismatch("sequence symbol outside the alphabet")
     if seq_y is None:
         counts = np.bincount(x, minlength=alphabet_x.size)
         return EmpiricalType(counts, alphabet_x)
@@ -224,8 +230,7 @@ def empirical_type(
     y = np.asarray(seq_y, dtype=np.int64)
     if y.size != x.size:
         raise LengthMismatch(f"sequence lengths differ: {x.size} vs {y.size}")
-    if np.any(y < 0) or np.any(y >= alphabet_y.size):
-        raise AlphabetMismatch("sequence symbol outside the alphabet")
+    y = _symbols(y, alphabet_y)
     flat = x * alphabet_y.size + y
     counts = np.bincount(flat, minlength=alphabet_x.size * alphabet_y.size)
     return EmpiricalType(counts.reshape(alphabet_x.size, alphabet_y.size), alphabet_x, alphabet_y)

@@ -37,14 +37,22 @@ from .errors import (
     LengthMismatch,
 )
 from .prob import (
+    Alphabet,
     EmpiricalType,
     JointPmf,
     Pmf,
+    _symbols,
     count_type_vectors,
     empirical_type,
     marginals,
 )
-from .rng import categorical_cdf, sample_categorical, uniform_block, uniforms
+from .rng import (
+    categorical_cdf,
+    categorical_thresholds,
+    sample_categorical,
+    uniform_block,
+    uniform_ints,
+)
 
 
 class EncoderKind(str, Enum):
@@ -323,18 +331,45 @@ def _decide(
     return ACCEPT if (x_ok and y_ok) else REJECT
 
 
+def _prefix_counts(seq: Sequence[int], alphabet: Alphabet, k: int, rounds: int) -> np.ndarray:
+    """Row t-1: the count of each symbol in the first t*k samples, t = 1..rounds."""
+    symbols = _symbols(seq, alphabet)[: rounds * k]
+    return (symbols[:, None] == np.arange(alphabet.size)).cumsum(axis=0)[k - 1 :: k]
+
+
 def _replay(rule: _DecisionRule, x_seq: Sequence[int], y_seq: Sequence[int]):
-    """Encode and decide round by round until the policy stops or the samples
-    run out; returns the messages sent and each round's verdict."""
-    k = rule.config.k
-    messages: list[Message] = []
-    verdicts: list[int | None] = []
-    for t in range(1, min(len(x_seq) // k, rule.config.n) + 1):
-        messages.append(encode(rule.config, x_seq[: t * k], rule.p_x))
-        verdicts.append(_decide(rule, messages, y_seq[: t * k], t))
-        if verdicts[-1] is not CONTINUE:
-            break
-    return messages, verdicts
+    """Play the protocol on fixed sequences until the policy stops or the
+    samples run out; returns the messages sent and each round's verdict.
+
+    Running x/y counts make this O(n k): round t's message and verdict are
+    those ``encode`` and ``decide`` give on the length-t*k prefixes. Symbols
+    are checked against the alphabets once, up front.
+    """
+    config, p_x, p_y = rule.config, rule.p_x, rule.p_y
+    k, n = config.k, config.n
+    rounds = min(len(x_seq) // k, n)
+    x_counts = _prefix_counts(x_seq, p_x.alphabet, k, rounds)
+    y_counts = _prefix_counts(y_seq, p_y.alphabet, k, rounds)
+    totals = k * np.arange(1, rounds + 1)[:, None]
+    x_ok = rule.typical(x_counts, totals, p_x.probs)
+
+    verdicts: list[int | None] = [CONTINUE] * rounds
+    checked = min(rounds, n - 1) if config.policy_kind is PolicyKind.EARLY_DECIDE else 0
+    rejected = ~rule.typical(
+        y_counts[:checked], totals[:checked], p_y.probs, rule.reject_margins[:checked, None]
+    )
+    if rejected.any():
+        verdicts = verdicts[: int(rejected.argmax())] + [REJECT]
+    elif rounds == n:
+        y_ok = rule.typical(y_counts[-1], n * k, p_y.probs)
+        verdicts[-1] = ACCEPT if (x_ok[-1] and y_ok) else REJECT
+
+    played = len(verdicts)
+    if config.encoder_kind is EncoderKind.ONE_BIT:
+        payloads = [int(ok) for ok in x_ok[:played]]
+    else:
+        payloads = [EmpiricalType(c, p_x.alphabet) for c in x_counts[:played]]
+    return [Message(step=t, payload=p) for t, p in enumerate(payloads, 1)], verdicts
 
 
 def sample_pairs(joint: JointPmf, seed: int, start: int, count: int):
@@ -404,9 +439,28 @@ def acceptance_region_membership(
     return verdicts[-1] == ACCEPT
 
 
-def _symbol_counts(seq: np.ndarray, size: int) -> np.ndarray:
-    """Count of each symbol 0..size-1 along the last axis, stacked last."""
-    return np.stack([(seq == s).sum(axis=-1) for s in range(size)], axis=-1)
+# Samples per trial drawn in one block of simulate_batch, rounded down to
+# whole rounds (at least one). On a 16,384-trial Monte Carlo chunk at N=2000
+# (2 MB L2 cache per core), blocks of 8 or 16 samples took 0.32-0.35 s and
+# blocks of 32, whose 4 MB draw arrays spill the cache, 0.64 s; with few
+# trials, small blocks cost more in per-block overhead.
+_BLOCK_SAMPLES = 16
+
+
+def _marginal_counts(above: np.ndarray, total, shape: tuple[int, int]):
+    """x and y symbol counts, symbols last, from ``above[j]``: the number of
+    draws with m >= T_j (axis 0 runs over the cells-1 thresholds).
+
+    ``total`` is the number of draws and broadcasts against ``above[0]``.
+    Draws of cell i number above[i-1] - above[i], with above[-1] = total and
+    above[cells-1] = 0.
+    """
+    cells = np.zeros((len(above) + 1,) + above.shape[1:], dtype=np.int64)
+    cells[0] = total
+    cells[:-1] -= above
+    cells[1:] += above
+    cells = cells.reshape(shape + above.shape[1:])
+    return np.moveaxis(cells.sum(axis=1), 0, -1), np.moveaxis(cells.sum(axis=0), 0, -1)
 
 
 def simulate_batch(
@@ -420,37 +474,56 @@ def simulate_batch(
     Returns (decisions, stopping_times) arrays, one entry per seed. Agrees
     with run_protocol trial for trial because both address randomness by
     (seed, draw counter); this is the fast path for Monte Carlo evaluation.
+
+    The horizon streams in blocks of whole rounds (about ``_BLOCK_SAMPLES``
+    draws per trial), so memory is O(trials x cells) at any horizon. A draw
+    is never turned into a float or a symbol: with m its 53-bit integer and
+    T_j the integer thresholds of the joint's cdf, cdf[j] <= m * 2**-53
+    exactly when T_j <= m (see ``seqht.rng``), so counting m >= T_j per trial
+    yields the joint type the scalar protocol sees, and from it both
+    marginals. Early-decide checks the y-marginal after each round of a
+    block and stops drawing for trials it has rejected; counter addressing
+    keeps every other trial's draws unchanged.
     """
     if joint.probs.shape != p_null.probs.shape:
         raise LengthMismatch("source joint shape does not match null joint shape")
     seeds = np.asarray(seeds, dtype=np.uint64)
-    trials = seeds.shape[0]
     n, k = config.n, config.k
-    total = n * k
-    cdf = categorical_cdf(joint.probs.ravel())
-    ny = joint.alphabet_y.size
-    nx = joint.alphabet_x.size
-
-    counters = np.arange(total, dtype=np.uint64)[None, :]
-    flat = sample_categorical(cdf, uniforms(seeds[:, None], counters))
-    x = flat // ny
-    y = flat % ny
-
+    shape = joint.probs.shape
     rule = _DecisionRule(config, *marginals(p_null))
-    x_ok = rule.typical(_symbol_counts(x, nx), total, rule.p_x.probs)
-    y_ok = rule.typical(_symbol_counts(y, ny), total, rule.p_y.probs)
-    decisions = np.where(x_ok & y_ok, ACCEPT, REJECT).astype(np.int64)
-    stop = np.full(trials, n, dtype=np.int64)
+    thresholds = categorical_thresholds(categorical_cdf(joint.probs.ravel()))[:, None, None]
+    early = config.policy_kind is PolicyKind.EARLY_DECIDE
+    block = max(1, _BLOCK_SAMPLES // k)
 
-    if config.policy_kind is PolicyKind.EARLY_DECIDE and n > 1:
-        # Per-round cumulative y counts drive the early-reject scan; this
-        # trajectory work is skipped entirely for the fixed-horizon policy.
-        y_counts = _symbol_counts(y.reshape(trials, n, k), ny).cumsum(axis=1)[:, : n - 1]
-        round_totals = (np.arange(1, n) * k)[:, None]
-        margins = rule.reject_margins[:, None]
-        early = ~rule.typical(y_counts, round_totals, rule.p_y.probs, margins)
-        any_early = early.any(axis=1)
-        first = np.argmax(early, axis=1) + 1
-        stop = np.where(any_early, first, stop)
-        decisions = np.where(any_early, REJECT, decisions)
-    return decisions, stop
+    decisions = np.full(seeds.shape[0], REJECT, dtype=np.int64)
+    stops = np.full(seeds.shape[0], n, dtype=np.int64)
+    live = np.arange(seeds.shape[0])  # trials still drawing
+    above = np.zeros((thresholds.shape[0], live.size), dtype=np.int64)
+    for t0 in range(0, n, block):
+        rounds = min(block, n - t0)
+        counters = np.arange(t0 * k, (t0 + rounds) * k, dtype=np.uint64)[:, None]
+        hits = uniform_ints(seeds, counters) >= thresholds  # threshold, draw, trial
+        if not early:
+            above += hits.sum(axis=1)
+            continue
+        # Counts through each round of the block, then the early-reject check
+        # of the rounds before the horizon.
+        through = hits.reshape(len(hits), rounds, k, live.size).sum(axis=2)
+        through[:, 0] += above
+        for i in range(1, rounds):  # a prefix sum; np.cumsum on this axis is ~10x slower
+            through[:, i] += through[:, i - 1]
+        above = through[:, -1]
+        checked = min(rounds, n - 1 - t0)
+        totals = k * np.arange(t0 + 1, t0 + 1 + checked)[:, None]
+        _, y = _marginal_counts(through[:, :checked], totals, shape)
+        margins = rule.reject_margins[t0 : t0 + checked, None, None]
+        rejected = ~rule.typical(y, totals[..., None], rule.p_y.probs, margins)
+        out = rejected.any(axis=0)
+        if out.any():
+            stops[live[out]] = t0 + 1 + rejected[:, out].argmax(axis=0)
+            live, seeds, above = live[~out], seeds[~out], above[:, ~out]
+
+    x, y = _marginal_counts(above, n * k, shape)
+    accept = rule.typical(x, n * k, rule.p_x.probs) & rule.typical(y, n * k, rule.p_y.probs)
+    decisions[live[accept]] = ACCEPT
+    return decisions, stops

@@ -4,7 +4,17 @@ Every random quantity in the simulator is a pure function of (master seed,
 trial index, draw counter), built on the splitmix64 finalizer. This gives
 replayable, order-independent streams: trial j's draws do not depend on how
 many trials run, which worker thread runs them, or batch size. Scalar and
-vectorized paths use the same mapping bit for bit.
+vectorized paths use the same mapping bit for bit, so a horizon may also be
+drawn block by block.
+
+Categorical sampling has an exact integer form. A uniform is u = m * 2**-53
+with m = random_bits >> 11 (``uniform_ints``), and that scaling is exact. So
+cdf[j] <= u holds exactly when T_j = ceil(min(cdf[j], 1) * 2**53) <= m: a cdf
+entry of 1 or more is never <= u < 1, and its T_j = 2**53 is never <= m. The
+index ``sample_categorical`` returns, min(searchsorted(cdf, u, "right"),
+size-1), is therefore the number of j < size-1 with m >= T_j
+(``categorical_thresholds``), and counting those compares per trial tallies
+symbols with no float conversion and no search.
 """
 
 from __future__ import annotations
@@ -52,9 +62,14 @@ def random_bits(seed, counter):
     return mix64(state)
 
 
+def uniform_ints(seed, counter):
+    """The 53-bit integers m behind ``uniforms``: u = m * 2**-53 exactly."""
+    return random_bits(seed, counter) >> _S11
+
+
 def uniforms(seed, counter):
     """Uniform [0, 1) doubles with 53 random bits, one per counter."""
-    return (random_bits(seed, counter) >> _S11) * _INV_2_53
+    return uniform_ints(seed, counter) * _INV_2_53
 
 
 def uniform_block(seed, start: int, count: int):
@@ -72,6 +87,15 @@ def categorical_cdf(probs) -> np.ndarray:
         raise InvalidDistribution(f"categorical probabilities sum to {cdf[-1]!r}")
     cdf[-1] = 1.0
     return cdf
+
+
+def categorical_thresholds(cdf: np.ndarray) -> np.ndarray:
+    """T_j = ceil(min(cdf[j], 1) * 2**53) for j < size-1, as uint64.
+
+    The symbol ``sample_categorical(cdf, m * 2**-53)`` draws is the number of
+    thresholds with m >= T_j (see the module docstring).
+    """
+    return np.ceil(np.minimum(cdf[:-1], 1.0) * 2.0**53).astype(np.uint64)
 
 
 def sample_categorical(cdf: np.ndarray, u):

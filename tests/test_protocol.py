@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from seqht import (
     ACCEPT,
     CONTINUE,
     REJECT,
+    AlphabetMismatch,
     BadLength,
     EncoderKind,
     Hypothesis,
@@ -160,6 +162,33 @@ def test_run_protocol_is_deterministic_in_the_seed():
     assert other != run_protocol(cfg, P_JOINT, src)
 
 
+@pytest.mark.parametrize("encoder", ["one_bit", "full_type"])
+@pytest.mark.parametrize("policy", ["fixed_horizon", "early_decide"])
+def test_run_protocol_rounds_match_encode_and_decide_on_prefixes(encoder, policy):
+    # The replay carries running counts; each round must still be what
+    # encode and decide give on the whole prefix.
+    cfg = ProtocolConfig(k=4, n=150, eta=0.2, encoder_kind=encoder, policy_kind=policy)
+    p_x = marginals(P_JOINT)[0]
+    outcomes = set()
+    for seed in range(6):
+        source = SourceModel(Hypothesis.H1, Q_UNIFORM if seed % 2 else P_JOINT, seed)
+        trace = run_protocol(cfg, P_JOINT, source)
+        outcomes.add((trace.stopping_time, trace.decision))
+        for t, msg in enumerate(trace.messages, 1):
+            expected = encode(cfg, trace.x_seq[: 4 * t], p_x)
+            assert msg.step == expected.step == t
+            if encoder == "one_bit":
+                assert msg.payload == expected.payload
+            else:
+                assert msg.payload.counts.tolist() == expected.payload.counts.tolist()
+                assert msg.payload.alphabet_x == expected.payload.alphabet_x
+            verdict = decide(cfg, trace.messages[:t], trace.y_seq[: 4 * t], t, P_JOINT)
+            assert verdict == trace.per_step_verdicts[t - 1]
+    assert {decision for _, decision in outcomes} == {ACCEPT, REJECT}
+    if policy == "early_decide":
+        assert any(1 < t < 150 for t, _ in outcomes)
+
+
 def test_trace_record_line():
     cfg = one_bit_config(n=2, eta=0.5)
     src = SourceModel(Hypothesis.H1, Q_UNIFORM, rng_seed=5)
@@ -223,6 +252,14 @@ def test_membership_length_errors():
     assert acceptance_region_membership(early, Q_UNIFORM, (0, 1), (1, 1)) is False
 
 
+def test_membership_rejects_symbols_outside_the_alphabet():
+    cfg = ProtocolConfig(k=2, n=2, eta=0.25)
+    with pytest.raises(AlphabetMismatch):
+        acceptance_region_membership(cfg, Q_UNIFORM, (0, 1, 2, 1), (1, 0, 1, 0))
+    with pytest.raises(AlphabetMismatch):
+        acceptance_region_membership(cfg, Q_UNIFORM, (0, 1, 0, 1), (1, 0, -1, 0))
+
+
 def test_encoders_induce_identical_acceptance_region():
     one_bit = ProtocolConfig(k=2, n=2, eta=0.25, encoder_kind="one_bit")
     full = ProtocolConfig(k=2, n=2, eta=0.25, encoder_kind="full_type")
@@ -263,20 +300,28 @@ def test_early_decide_verdict_invariant_under_block_permutations():
         assert acceptance_region_membership(cfg, P_JOINT, tuple(x), tuple(y)) == verdict
 
 
+P_3X3 = JointPmf.from_probs([[0.30, 0.05, 0.05], [0.05, 0.20, 0.05], [0.05, 0.05, 0.20]])
+Q_3X3 = JointPmf.from_probs(np.full((3, 3), 1 / 9))
+
+
 def _batch_cases():
     p_3x2 = JointPmf.from_probs([[0.25, 0.25], [0.125, 0.125], [0.125, 0.125]])
     q_3x2 = JointPmf.from_probs([[0.1, 0.2], [0.3, 0.1], [0.1, 0.2]])
     for hypothesis in (Hypothesis.H0, Hypothesis.H1):
         for policy in ("fixed_horizon", "early_decide"):
             case = f"{hypothesis.value}-{policy}"
-            yield pytest.param(policy, hypothesis, P_JOINT, Q_UNIFORM, 0.2, id=case)
+            yield pytest.param(policy, hypothesis, P_JOINT, Q_UNIFORM, 0.2, 2, 6, id=case)
             # Types exactly 0.25 off a 3-symbol marginal sit on the boundary.
-            yield pytest.param(policy, hypothesis, p_3x2, q_3x2, 0.25, id=f"{case}-3x2")
+            yield pytest.param(policy, hypothesis, p_3x2, q_3x2, 0.25, 2, 6, id=f"{case}-3x2")
+            # 120 samples span several blocks, and k=3 does not divide a block.
+            yield pytest.param(policy, hypothesis, P_JOINT, Q_UNIFORM, 0.05, 3, 40, id=f"{case}-k3n40")
+            yield pytest.param(policy, hypothesis, P_3X3, Q_3X3, 0.12, 3, 20, id=f"{case}-3x3")
+            yield pytest.param(policy, hypothesis, P_JOINT, Q_UNIFORM, 0.3, 1, 1, id=f"{case}-n1")
 
 
-@pytest.mark.parametrize("policy, hypothesis, p_null, alternative, eta", list(_batch_cases()))
-def test_simulate_batch_matches_protocol_runs(policy, hypothesis, p_null, alternative, eta):
-    cfg = ProtocolConfig(k=2, n=6, eta=eta, policy_kind=policy)
+@pytest.mark.parametrize("policy, hypothesis, p_null, alternative, eta, k, n", list(_batch_cases()))
+def test_simulate_batch_matches_protocol_runs(policy, hypothesis, p_null, alternative, eta, k, n):
+    cfg = ProtocolConfig(k=k, n=n, eta=eta, policy_kind=policy)
     joint = p_null if hypothesis is Hypothesis.H0 else alternative
     seeds = derive_seed(321, np.arange(64, dtype=np.uint64))
     decisions, stops = simulate_batch(cfg, p_null, joint, seeds)
@@ -284,6 +329,25 @@ def test_simulate_batch_matches_protocol_runs(policy, hypothesis, p_null, altern
         trace = run_protocol(cfg, p_null, SourceModel(hypothesis, joint, int(seed)))
         assert trace.decision == decisions[j]
         assert trace.stopping_time == stops[j]
+
+
+@pytest.mark.parametrize("policy", ["fixed_horizon", "early_decide"])
+@pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+def test_simulate_batch_memory_is_bounded_at_long_horizons(policy, hypothesis):
+    # 256 trials x 20,000 samples would be 41 MB of uniforms alone; the
+    # streaming kernel holds O(trials x cells) counts plus one block of draws.
+    cfg = ProtocolConfig(k=2, n=10_000, eta=0.02, policy_kind=policy)
+    joint = P_JOINT if hypothesis is Hypothesis.H0 else Q_UNIFORM
+    seeds = derive_seed(5, np.arange(256, dtype=np.uint64))
+    tracemalloc.start()
+    try:
+        decisions, stops = simulate_batch(cfg, P_JOINT, joint, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    assert decisions.shape == stops.shape == (256,)
+    assert stops.max() <= 10_000
 
 
 def test_early_decide_produces_varied_stopping_times():
