@@ -617,9 +617,11 @@ def verify_wald_identity(
     a telescoping sum whose expectation the identity pins to E[T] * D.
     """
     pv, qv = _composite_pair(p, q, horizon_cap)
-    m = pv.size
 
     log_ratio = np.where(pv > 0, np.log(np.maximum(pv, 1e-300) / qv), 0.0)
+    # Python floats give the same IEEE products and sums as numpy scalars,
+    # at a fraction of the cost per operation.
+    steps = list(zip(pv.tolist(), log_ratio.tolist()))
     lhs = 0.0
     e_t = 0.0
     # (prefix, P-probability, accumulated log-likelihood ratio)
@@ -627,12 +629,12 @@ def verify_wald_identity(
     for t in range(1, horizon_cap + 1):
         nxt: list[tuple[tuple[int, ...], float, float]] = []
         for prefix, pp, llr in active:
-            for z in range(m):
-                pp2 = pp * pv[z]
+            for z, (pz, ratio) in enumerate(steps):
+                pp2 = pp * pz
                 if pp2 == 0.0:
                     continue
                 prefix2 = prefix + (z,)
-                llr2 = llr + log_ratio[z]
+                llr2 = llr + ratio
                 if t == horizon_cap or stopping_rule(prefix2):
                     e_t += t * pp2
                     lhs += pp2 * llr2
@@ -665,7 +667,8 @@ def verify_acceptance_bound(
     alongside.
     """
     pv, qv = _composite_pair(p, q, horizon_cap)
-    m = pv.size
+    # Python floats: the same IEEE products as numpy scalars, at less cost.
+    p_list, q_list = pv.tolist(), qv.tolist()
 
     if isinstance(stopping, Mapping):
         law = {int(t): float(w) for t, w in stopping.items() if w > 0}
@@ -680,8 +683,8 @@ def verify_acceptance_bound(
         for t in range(1, horizon_cap + 1):
             nxt: list[tuple[tuple[int, ...], float]] = []
             for prefix, pp in active:
-                for z in range(m):
-                    pp2 = pp * pv[z]
+                for z, pz in enumerate(p_list):
+                    pp2 = pp * pz
                     prefix2 = prefix + (z,)
                     if t == horizon_cap or stopping(prefix2):
                         law[t] = law.get(t, 0.0) + pp2
@@ -689,7 +692,7 @@ def verify_acceptance_bound(
                         nxt.append((prefix2, pp2))
             active = nxt
 
-    def _set_mass(seqs: Sequence[tuple[int, ...]], probs: np.ndarray, t: int) -> float:
+    def _set_mass(seqs: Sequence[tuple[int, ...]], probs: list[float], t: int) -> float:
         mass = 0.0
         for s in set(seqs):
             if len(s) != t:
@@ -705,10 +708,10 @@ def verify_acceptance_bound(
     for t, w_t in sorted(law.items()):
         e_t += t * w_t
         seqs = acceptance_sets.get(t, ())
-        p_mass = _set_mass(seqs, pv, t)
+        p_mass = _set_mass(seqs, p_list, t)
         if p_mass <= 0.0:
             continue
-        q_mass = _set_mass(seqs, qv, t)
+        q_mass = _set_mass(seqs, q_list, t)
         lhs += w_t * p_mass * (-math.log(q_mass))
 
     per_sample = kl_divergence(Pmf.from_probs(pv), Pmf.from_probs(qv))

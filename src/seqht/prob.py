@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -74,8 +75,32 @@ def _validated_probs(raw, shape_kind: str) -> np.ndarray:
     return _freeze(a / s)
 
 
-@dataclass(frozen=True)
-class Pmf:
+class _ArrayValue:
+    """Value equality and hashing for a frozen class holding one read-only array.
+
+    Two instances are equal when their non-array parts are equal and their
+    arrays are element-wise equal; the hash matches (+0 turns -0.0 into 0.0,
+    which compares equal to it).
+    """
+
+    def _parts(self) -> tuple[tuple, np.ndarray]:
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        (mine, a), (theirs, b) = self._parts(), other._parts()
+        return mine == theirs and np.array_equal(a, b)
+
+    def __hash__(self):
+        rest, a = self._parts()
+        return hash((rest, a.shape, (a + 0).tobytes()))
+
+
+@dataclass(frozen=True, eq=False)
+class Pmf(_ArrayValue):
     """Probability vector over a single finite alphabet."""
 
     alphabet: Alphabet
@@ -89,14 +114,17 @@ class Pmf:
             )
         object.__setattr__(self, "probs", p)
 
+    def _parts(self):
+        return (self.alphabet,), self.probs
+
     @classmethod
     def from_probs(cls, probs, labels: Sequence[str] = ()) -> "Pmf":
         a = np.asarray(probs, dtype=np.float64)
         return cls(Alphabet(a.shape[0], tuple(labels)), a)
 
 
-@dataclass(frozen=True)
-class JointPmf:
+@dataclass(frozen=True, eq=False)
+class JointPmf(_ArrayValue):
     """Probability matrix over a pair of finite alphabets (rows: first source)."""
 
     alphabet_x: Alphabet
@@ -114,6 +142,17 @@ class JointPmf:
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "strictly_positive", bool(p.min() > 0.0))
 
+    def _parts(self):
+        return (self.alphabet_x, self.alphabet_y), self.probs
+
+    @cached_property
+    def _marginals(self) -> tuple[Pmf, Pmf]:
+        # Built once: the joint is frozen and its probs are read-only.
+        return (
+            Pmf(self.alphabet_x, self.probs.sum(axis=1)),
+            Pmf(self.alphabet_y, self.probs.sum(axis=0)),
+        )
+
     @classmethod
     def from_probs(cls, probs) -> "JointPmf":
         a = np.asarray(probs, dtype=np.float64)
@@ -122,8 +161,8 @@ class JointPmf:
         return cls(Alphabet(a.shape[0]), Alphabet(a.shape[1]), a)
 
 
-@dataclass(frozen=True)
-class EmpiricalType:
+@dataclass(frozen=True, eq=False)
+class EmpiricalType(_ArrayValue):
     """Integer count vector/matrix of an observed sequence.
 
     ``counts`` is 1-d for a single source and 2-d for a joint observation;
@@ -135,13 +174,21 @@ class EmpiricalType:
     alphabet_y: Alphabet | None = None
 
     def __post_init__(self):
-        c = np.asarray(self.counts)
-        if not np.issubdtype(c.dtype, np.integer):
-            cf = np.asarray(c, dtype=np.int64)
-            if not np.array_equal(cf, c):
-                raise InvalidDistribution("counts must be integers")
-            c = cf
-        if np.any(c < 0):
+        c = self.counts
+        # A C-contiguous int64 array (what counting produces) is checked as
+        # it is; anything else is converted first.
+        if not (type(c) is np.ndarray and c.dtype == np.int64 and c.flags.c_contiguous):
+            c = np.asarray(c)
+            if not np.issubdtype(c.dtype, np.integer):
+                cf = np.asarray(c, dtype=np.int64)
+                if not np.array_equal(cf, c):
+                    raise InvalidDistribution("counts must be integers")
+                c = cf
+            c = np.ascontiguousarray(c, dtype=np.int64)
+        # Counts are alphabet-sized, where Python's min and sum on a list
+        # beat numpy reductions several times over.
+        flat = c.ravel().tolist()
+        if min(flat, default=0) < 0:
             raise InvalidDistribution("counts must be nonnegative")
         expected = (self.alphabet_x.size,) if self.alphabet_y is None else (
             self.alphabet_x.size,
@@ -149,11 +196,13 @@ class EmpiricalType:
         )
         if c.shape != expected:
             raise AlphabetMismatch(f"counts shape {c.shape}, expected {expected}")
-        if int(c.sum()) < 1:
+        if sum(flat) < 1:
             raise InvalidDistribution("total count must be positive")
-        c = np.ascontiguousarray(c, dtype=np.int64)
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
+
+    def _parts(self):
+        return (self.alphabet_x, self.alphabet_y), self.counts
 
     @property
     def total(self) -> int:
@@ -197,17 +246,15 @@ def kl_divergence(p: Pmf | JointPmf, q: Pmf | JointPmf) -> float:
 
 
 def marginals(j: JointPmf) -> tuple[Pmf, Pmf]:
-    """Row-sum and column-sum marginal pmfs of a joint."""
-    return (
-        Pmf(j.alphabet_x, j.probs.sum(axis=1)),
-        Pmf(j.alphabet_y, j.probs.sum(axis=0)),
-    )
+    """Row-sum and column-sum marginal pmfs of a joint, built once per joint."""
+    return j._marginals
 
 
 def _symbols(seq: Sequence[int], alphabet: Alphabet) -> np.ndarray:
     """The sequence as an int64 array, checked to hold only symbols of the alphabet."""
     s = np.asarray(seq, dtype=np.int64)
-    if np.any(s < 0) or np.any(s >= alphabet.size):
+    # One comparison checks both ends: a negative int64 reads as a uint64 >= 2**63.
+    if (s.view(np.uint64) >= alphabet.size).any():
         raise AlphabetMismatch("sequence symbol outside the alphabet")
     return s
 

@@ -37,7 +37,6 @@ from .errors import (
     LengthMismatch,
 )
 from .prob import (
-    Alphabet,
     EmpiricalType,
     JointPmf,
     Pmf,
@@ -46,13 +45,7 @@ from .prob import (
     empirical_type,
     marginals,
 )
-from .rng import (
-    categorical_cdf,
-    categorical_thresholds,
-    sample_categorical,
-    uniform_block,
-    uniform_ints,
-)
+from .rng import categorical_cdf, categorical_thresholds, uniform_ints
 
 
 class EncoderKind(str, Enum):
@@ -239,7 +232,7 @@ class _DecisionRule:
     @cached_property
     def reject_margins(self) -> np.ndarray:
         """Early-reject margins of rounds 1..n-1."""
-        return np.array([self.config.reject_margin(t) for t in range(1, self.config.n)])
+        return self.config.reject_margin(np.arange(1, self.config.n))
 
     def symbol_ok(self, counts, total, target: np.ndarray, margin=None) -> np.ndarray:
         """The typicality test of each symbol s, on raw integer counts:
@@ -309,7 +302,7 @@ def _decide(
     if t < config.n:
         if config.policy_kind is PolicyKind.EARLY_DECIDE:
             y_type = empirical_type(y_prefix, p_y.alphabet)
-            margin = rule.reject_margins[t - 1]
+            margin = config.reject_margin(t)
             if not rule.typical(y_type.counts, len(y_prefix), p_y.probs, margin):
                 return REJECT
         return CONTINUE
@@ -331,57 +324,43 @@ def _decide(
     return ACCEPT if (x_ok and y_ok) else REJECT
 
 
-def _prefix_counts(seq: Sequence[int], alphabet: Alphabet, k: int, rounds: int) -> np.ndarray:
-    """Row t-1: the count of each symbol in the first t*k samples, t = 1..rounds."""
-    symbols = _symbols(seq, alphabet)[: rounds * k]
-    return (symbols[:, None] == np.arange(alphabet.size)).cumsum(axis=0)[k - 1 :: k]
+def _replay(rule: _DecisionRule, x: np.ndarray, y: np.ndarray):
+    """Play the protocol on checked int64 symbol arrays until the policy stops
+    or the samples run out.
 
-
-def _replay(rule: _DecisionRule, x_seq: Sequence[int], y_seq: Sequence[int]):
-    """Play the protocol on fixed sequences until the policy stops or the
-    samples run out; returns the messages sent and each round's verdict.
-
-    Running x/y counts make this O(n k): round t's message and verdict are
-    those ``encode`` and ``decide`` give on the length-t*k prefixes. Symbols
-    are checked against the alphabets once, up front.
+    Returns each round's verdict, the running x counts (row t-1: the count of
+    each symbol in the first t*k samples) and each round's x-typicality bit,
+    for the rounds played. Round t's verdict is the one ``decide`` gives on the
+    length-t*k prefixes, and its message the one ``encode`` gives (the bit, or
+    an ``EmpiricalType`` of the counts row). One cumsum yields every round's
+    counts, so a replay is O(n k).
     """
     config, p_x, p_y = rule.config, rule.p_x, rule.p_y
     k, n = config.k, config.n
-    rounds = min(len(x_seq) // k, n)
-    x_counts = _prefix_counts(x_seq, p_x.alphabet, k, rounds)
-    y_counts = _prefix_counts(y_seq, p_y.alphabet, k, rounds)
+    nx, ny = p_x.alphabet.size, p_y.alphabet.size
+    rounds = min(len(x) // k, n)
+    samples = rounds * k
+    seen = np.concatenate(
+        (x[:samples, None] == np.arange(nx), y[:samples, None] == np.arange(ny)), axis=1
+    )
+    counts = seen.cumsum(axis=0)[k - 1 :: k]
     totals = k * np.arange(1, rounds + 1)[:, None]
+    x_counts = counts[:, :nx]
     x_ok = rule.typical(x_counts, totals, p_x.probs)
 
     verdicts: list[int | None] = [CONTINUE] * rounds
     checked = min(rounds, n - 1) if config.policy_kind is PolicyKind.EARLY_DECIDE else 0
-    rejected = ~rule.typical(
-        y_counts[:checked], totals[:checked], p_y.probs, rule.reject_margins[:checked, None]
-    )
-    if rejected.any():
-        verdicts = verdicts[: int(rejected.argmax())] + [REJECT]
-    elif rounds == n:
-        y_ok = rule.typical(y_counts[-1], n * k, p_y.probs)
+    if checked:
+        y_fine = rule.typical(
+            counts[:checked, nx:], totals[:checked], p_y.probs, rule.reject_margins[:checked, None]
+        ).tolist()
+        if False in y_fine:
+            played = y_fine.index(False) + 1
+            return verdicts[: played - 1] + [REJECT], x_counts[:played], x_ok[:played]
+    if rounds == n:
+        y_ok = rule.typical(counts[-1, nx:], n * k, p_y.probs)
         verdicts[-1] = ACCEPT if (x_ok[-1] and y_ok) else REJECT
-
-    played = len(verdicts)
-    if config.encoder_kind is EncoderKind.ONE_BIT:
-        payloads = [int(ok) for ok in x_ok[:played]]
-    else:
-        payloads = [EmpiricalType(c, p_x.alphabet) for c in x_counts[:played]]
-    return [Message(step=t, payload=p) for t, p in enumerate(payloads, 1)], verdicts
-
-
-def sample_pairs(joint: JointPmf, seed: int, start: int, count: int):
-    """Draw pairs (x_i, y_i) iid from the joint, addressed by draw counter.
-
-    Draw i of a trial always uses counter i regardless of batching, so a
-    whole-run sample and a round-by-round sample agree bit for bit.
-    """
-    cdf = categorical_cdf(joint.probs.ravel())
-    flat = sample_categorical(cdf, uniform_block(np.uint64(seed), start, count))
-    ny = joint.alphabet_y.size
-    return flat // ny, flat % ny
+    return verdicts, x_counts, x_ok
 
 
 def run_protocol(config: ProtocolConfig, p_null: JointPmf, source: SourceModel) -> Trace:
@@ -390,8 +369,12 @@ def run_protocol(config: ProtocolConfig, p_null: JointPmf, source: SourceModel) 
     ``p_null`` is the null joint the decision rule tests against; the source
     draws from whichever joint its hypothesis dictates. Deterministic in
     (config, p_null, source): replaying the same seed yields an identical
-    trace. The whole horizon is drawn at once; being addressed by counter,
-    the rounds played see the same samples as in a round-by-round draw.
+    trace. The whole horizon is drawn at once through the integer-threshold
+    sampler ``simulate_batch`` uses (draw i is the number of thresholds its
+    53-bit integer reaches; see ``seqht.rng``). Being addressed by counter,
+    the rounds played see the samples a round-by-round draw would. The drawn
+    symbols lie in the alphabets by construction and go to the replay
+    unchecked.
     """
     if source.joint.probs.shape != p_null.probs.shape:
         raise LengthMismatch(
@@ -399,17 +382,24 @@ def run_protocol(config: ProtocolConfig, p_null: JointPmf, source: SourceModel) 
             f"null joint shape {p_null.probs.shape}"
         )
     rule = _DecisionRule(config, *marginals(p_null))
-    draws = sample_pairs(source.joint, source.rng_seed, 0, config.total_samples)
-    xs, ys = (v.tolist() for v in draws)
-    messages, verdicts = _replay(rule, xs, ys)
+    thresholds = categorical_thresholds(categorical_cdf(source.joint.probs.ravel()))
+    counters = np.arange(config.total_samples, dtype=np.uint64)
+    draws = (uniform_ints(np.uint64(source.rng_seed), counters) >= thresholds[:, None]).sum(axis=0)
+    x, y = np.divmod(draws, source.joint.alphabet_y.size)
+    verdicts, x_counts, x_ok = _replay(rule, x, y)
     t = len(verdicts)
+    if config.encoder_kind is EncoderKind.ONE_BIT:
+        payloads = x_ok.astype(np.int64).tolist()
+    else:
+        payloads = [EmpiricalType(c, rule.p_x.alphabet) for c in x_counts]
+    played = t * config.k
     return Trace(
         stopping_time=t,
-        messages=tuple(messages),
+        messages=tuple(Message(step=s, payload=p) for s, p in enumerate(payloads, 1)),
         feedback_bits=(1,) * (t - 1) + (0,),
         decision=verdicts[-1],
-        x_seq=tuple(xs[: t * config.k]),
-        y_seq=tuple(ys[: t * config.k]),
+        x_seq=tuple(x[:played].tolist()),
+        y_seq=tuple(y[:played].tolist()),
         per_step_verdicts=tuple(verdicts),
     )
 
@@ -423,12 +413,16 @@ def acceptance_region_membership(
     """Replay the protocol on fixed sequences; True iff it accepts the null.
 
     The sequences must have exactly the length T * k that the policy itself
-    induces on them; anything shorter or longer is a caller error.
+    induces on them; anything shorter or longer is a caller error. Symbols
+    are checked against the alphabets once, up front.
     """
     if len(x_full) != len(y_full):
         raise BadLength(f"sequence lengths differ: {len(x_full)} vs {len(y_full)}")
     _blocked_length(config, len(x_full))
-    _, verdicts = _replay(_DecisionRule(config, *marginals(p_null)), x_full, y_full)
+    rule = _DecisionRule(config, *marginals(p_null))
+    x = _symbols(x_full, rule.p_x.alphabet)
+    y = _symbols(y_full, rule.p_y.alphabet)
+    verdicts = _replay(rule, x, y)[0]
     if verdicts[-1] is CONTINUE:
         raise BadLength(
             f"policy does not stop within {len(x_full)} samples (needs up to {config.total_samples})"

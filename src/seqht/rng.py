@@ -14,7 +14,9 @@ entry of 1 or more is never <= u < 1, and its T_j = 2**53 is never <= m. The
 index ``sample_categorical`` returns, min(searchsorted(cdf, u, "right"),
 size-1), is therefore the number of j < size-1 with m >= T_j
 (``categorical_thresholds``), and counting those compares per trial tallies
-symbols with no float conversion and no search.
+symbols with no float conversion and no search. ``run_protocol`` and
+``simulate_batch`` both sample this way; ``uniforms`` and
+``sample_categorical`` remain as the float form it is checked against.
 """
 
 from __future__ import annotations

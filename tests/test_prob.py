@@ -89,6 +89,66 @@ def test_marginals_row_and_column():
     np.testing.assert_allclose(my.probs, [0.6, 0.4], atol=1e-15)
 
 
+def test_marginals_are_built_once_per_joint():
+    j = JointPmf.from_probs([[0.5, 0.2], [0.1, 0.2]])
+    first = marginals(j)
+    assert marginals(j) is first
+    for m in first:
+        assert not m.probs.flags.writeable
+        with pytest.raises(ValueError):
+            m.probs[0] = 0.5
+    # An equal joint built separately has equal (not shared) marginals.
+    other = marginals(JointPmf.from_probs([[0.5, 0.2], [0.1, 0.2]]))
+    assert other == first and other[0] is not first[0]
+
+
+def test_distributions_and_types_compare_and_hash_by_value():
+    a2 = Alphabet(2)
+    p, same = Pmf.from_probs([0.25, 0.75]), Pmf.from_probs([0.25, 0.75])
+    assert p == same and hash(p) == hash(same) and len({p, same}) == 1
+    assert p != Pmf.from_probs([0.75, 0.25])
+    assert p != Pmf.from_probs([0.25, 0.75], labels=("a", "b"))
+    # -0.0 equals 0.0, so the hashes must match too.
+    z, neg = Pmf.from_probs([0.0, 1.0]), Pmf.from_probs([-0.0, 1.0])
+    assert z == neg and hash(z) == hash(neg)
+    j = JointPmf.from_probs([[0.5, 0.2], [0.1, 0.2]])
+    assert j == JointPmf.from_probs([[0.5, 0.2], [0.1, 0.2]])
+    assert hash(j) == hash(JointPmf.from_probs([[0.5, 0.2], [0.1, 0.2]]))
+    assert j != JointPmf.from_probs([[0.5, 0.1], [0.2, 0.2]])
+    assert j != JointPmf.from_probs([[0.5, 0.2, 0.1, 0.2]])
+    assert j != p and p != j
+    t = empirical_type([0, 0, 1], a2)
+    assert t == EmpiricalType(np.array([2, 1]), a2) and hash(t) == hash(EmpiricalType([2, 1], a2))
+    assert t != empirical_type([0, 1, 1], a2)
+    assert t != empirical_type([0, 0, 1], a2, [1, 0, 0], a2)
+    assert t != EmpiricalType(np.array([2, 1, 0]), Alphabet(3))
+
+
+def test_empirical_type_checks_every_input_form():
+    a2 = Alphabet(2)
+    # Counting produces C-contiguous int64 arrays; lists, other integer
+    # dtypes, integral floats and strided views are converted first.
+    for counts in (np.array([3, 1]), [3, 1], np.array([3, 1], dtype=np.int8), np.array([3.0, 1.0]),
+                   np.array([3, 9, 1])[::2]):
+        t = EmpiricalType(counts, a2)
+        assert t.counts.dtype == np.int64 and t.counts.flags.c_contiguous
+        assert not t.counts.flags.writeable and t.counts.tolist() == [3, 1]
+    for counts, error in (
+        (np.array([-1, 2]), InvalidDistribution),
+        ([1, -1], InvalidDistribution),
+        (np.array([0, 0]), InvalidDistribution),
+        (np.array([1, 2, 3]), AlphabetMismatch),
+        (np.array([[1, 2]]), AlphabetMismatch),
+        (np.array([], dtype=np.int64), AlphabetMismatch),
+        (np.array([1.5, 2.5]), InvalidDistribution),
+    ):
+        with pytest.raises(error):
+            EmpiricalType(counts, a2)
+    # Negative counts are reported before a wrong shape, as they always were.
+    with pytest.raises(InvalidDistribution):
+        EmpiricalType(np.array([-1, 2, 3]), a2)
+
+
 def test_empirical_type_single_and_joint():
     a2 = Alphabet(2)
     t = empirical_type([0, 0, 0, 1], a2)

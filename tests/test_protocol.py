@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqht import (
     ACCEPT,
@@ -32,7 +34,14 @@ from seqht import (
     simulate_batch,
     trace_record,
 )
-from seqht.rng import derive_seed
+import seqht.protocol
+from seqht.rng import (
+    categorical_cdf,
+    categorical_thresholds,
+    derive_seed,
+    sample_categorical,
+    uniform_block,
+)
 
 P_JOINT = JointPmf.from_probs([[0.5625, 0.1875], [0.1875, 0.0625]])  # (0.75,0.25) x (0.75,0.25)
 Q_UNIFORM = JointPmf.from_probs([[0.25, 0.25], [0.25, 0.25]])
@@ -160,6 +169,86 @@ def test_run_protocol_is_deterministic_in_the_seed():
     assert run_protocol(cfg, P_JOINT, src) == run_protocol(cfg, P_JOINT, src)
     other = run_protocol(cfg, P_JOINT, SourceModel(Hypothesis.H1, Q_UNIFORM, 78))
     assert other != run_protocol(cfg, P_JOINT, src)
+
+
+def test_full_type_traces_compare_by_value():
+    cfg = ProtocolConfig(k=2, n=3, eta=0.25, encoder_kind="full_type")
+    first = run_protocol(cfg, P_JOINT, SourceModel(Hypothesis.H0, P_JOINT, 1))
+    replay = run_protocol(cfg, P_JOINT, SourceModel(Hypothesis.H0, P_JOINT, 1))
+    assert first is not replay
+    assert first == replay and hash(first) == hash(replay)
+    assert first.messages[-1] == replay.messages[-1]
+    other = run_protocol(cfg, P_JOINT, SourceModel(Hypothesis.H0, P_JOINT, 2))
+    assert other != first
+    assert len({first, replay, other}) == 2
+
+
+def test_public_decide_builds_no_pmf(monkeypatch):
+    cfg = one_bit_config(n=2, eta=0.25, policy_kind="early_decide")
+    marginals(P_JOINT)  # the joint's marginals are built once, here
+    built = []
+    original = Pmf.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Pmf, "__post_init__", counting)
+    msgs = [Message(1, 1), Message(2, 1)]
+    assert decide(cfg, msgs[:1], [0, 0, 0, 1], 1, P_JOINT) is CONTINUE
+    assert decide(cfg, msgs, [0, 0, 0, 1, 0, 0, 1, 0], 2, P_JOINT) == ACCEPT
+    assert built == []
+
+
+# Joints of 1x1 to 3x3 cells, zero cells anywhere.
+_joints = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda shape: st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1.0)),
+        min_size=shape[0] * shape[1],
+        max_size=shape[0] * shape[1],
+    )
+    .filter(lambda w: sum(w) > 0)
+    .map(lambda w: (np.array(w) / sum(w)).reshape(shape))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    probs=_joints,
+    seed=st.integers(0, 2**64 - 1),
+    k=st.integers(1, 4),
+    n=st.integers(1, 6),
+)
+# The cumsum reaches 1.0 at cell 1 (of 3), so cell 2 is never drawn.
+@example(probs=np.array([[0.5, 0.5, 1e-17]]), seed=3, k=4, n=6)
+@example(probs=np.array([[0.3, 0.0], [0.7, 0.0]]), seed=0, k=1, n=1)
+@example(probs=np.array([[1.0]]), seed=2**64 - 1, k=2, n=3)
+def test_run_protocol_draws_equal_the_float_sampler(probs, seed, k, n):
+    joint = JointPmf.from_probs(probs)
+    cfg = ProtocolConfig(k=k, n=n, eta=0.2)
+    trace = run_protocol(cfg, joint, SourceModel(Hypothesis.H0, joint, seed))
+    flat = sample_categorical(
+        categorical_cdf(joint.probs.ravel()), uniform_block(np.uint64(seed), 0, k * n)
+    )
+    ny = probs.shape[1]
+    assert trace.x_seq == tuple((flat // ny).tolist())
+    assert trace.y_seq == tuple((flat % ny).tolist())
+
+
+def test_run_protocol_draws_on_both_sides_of_every_threshold(monkeypatch):
+    # Random draws almost never land on a threshold, so feed the sampler
+    # 53-bit integers at and just below each one, with a zero cell in between.
+    joint = JointPmf.from_probs([[0.3, 0.0, 0.2], [0.1, 0.25, 0.15]])
+    cdf = categorical_cdf(joint.probs.ravel())
+    edges = {0, 2**53 - 1} | {t + d for t in categorical_thresholds(cdf).tolist() for d in (-1, 0)}
+    m = np.array(sorted(edges), dtype=np.uint64)
+    monkeypatch.setattr(seqht.protocol, "uniform_ints", lambda seed, counters: m[: counters.size])
+    cfg = ProtocolConfig(k=m.size, n=1, eta=0.2)
+    trace = run_protocol(cfg, joint, SourceModel(Hypothesis.H0, joint, 0))
+    flat = sample_categorical(cdf, m * 2.0**-53)
+    assert trace.x_seq == tuple((flat // 3).tolist())
+    assert trace.y_seq == tuple((flat % 3).tolist())
+    assert set(trace.x_seq) == {0, 1} and set(trace.y_seq) == {0, 1, 2}
 
 
 @pytest.mark.parametrize("encoder", ["one_bit", "full_type"])
