@@ -38,7 +38,8 @@ class UnsupportedAlphabetSize(SeqHTError, ValueError):
 
 
 class TooLarge(SeqHTError, ValueError):
-    """Exact enumeration would exceed the configured cell budget."""
+    """Exact evaluation is out of reach: joint-type enumeration over its budget,
+    or early-decide on a non-binary alphabet."""
 
 
 class HorizonTooLarge(SeqHTError, ValueError):

@@ -1,13 +1,15 @@
 """Exact and Monte Carlo evaluation of protocol error probabilities.
 
-The decision rules are type-measurable, so the error probabilities of the
-fixed-horizon protocol are finite sums over empirical types. This module
-computes them three ways, cross-checkable against each other:
+The decision rules are type-measurable, so the error probabilities are finite
+sums over empirical types. This module computes them three ways,
+cross-checkable against each other:
 
-* an exact binary fast path over marginal counts (the decision depends on the
-  joint type only through its marginals): for each typical x-count the
-  y-window mass is a short sum of binomial tails, O(window_x * N) work,
-* an exact general-alphabet enumeration over joint types,
+* exact, for binary pairs under both policies at any horizon, over marginal
+  counts (every verdict depends on the joint type only through its
+  marginals): the law of the y-count that reaches the horizon, then for each
+  typical y-count the x-window mass as a short sum of binomial tails. A fixed
+  horizon is the early-decide computation with no interim checks,
+* exact, for other alphabets with a fixed horizon, by enumerating joint types,
 * a vectorized Monte Carlo estimator with reproducible per-trial seeds.
 
 All three classify types with the protocol's one decision rule, so they
@@ -179,6 +181,20 @@ def _binom_logpmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
     return combiln + xlogy(k, p) + xlog1py(n - k, -p)
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """``scipy.special.logsumexp`` of a 1-d array, operation for operation, at
+    a tenth of its cost per call on short arrays. The committed reference
+    values carry scipy's rounding (see ``_binom_logpmf``), so the arithmetic
+    must stay scipy's: the maxima leave the sum and return through log1p."""
+    a_max = a.max()
+    if a_max == -np.inf:
+        return -np.inf
+    is_max = a == a_max
+    m = float(np.count_nonzero(is_max))
+    s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum()
+    return float(np.log1p(s / m) + np.log(m) + a_max)
+
+
 def _log_sub(big: np.ndarray, small: np.ndarray) -> np.ndarray:
     """log(exp(big) - exp(small)) for small <= big; -inf where big is -inf."""
     return big + np.log1p(-np.exp(np.where(big > -np.inf, small - big, -np.inf)))
@@ -210,7 +226,7 @@ def _log_window_masses(log_pmf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> n
         right = _log_sub(above[lo], above[hi + 1])
         # The rounded terms need not sum to exactly 1, so take the window
         # from their own total rather than from 1.
-        whole = logsumexp(shifted)
+        whole = _logsumexp(shifted)
         middle = whole + np.log1p(-np.exp(below[lo] - whole) - np.exp(above[hi + 1] - whole))
     out = np.where(hi < mode, left, np.where(lo > mode, right, middle)) + peak
     return np.where(empty, -np.inf, out)
@@ -218,23 +234,27 @@ def _log_window_masses(log_pmf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> n
 
 def _binary_log_accept(
     joint: np.ndarray,
-    x_mask: np.ndarray,
-    y_mask: np.ndarray,
+    log_law: np.ndarray,
+    row_mask: np.ndarray,
+    col_mask: np.ndarray,
     total: int,
 ) -> float:
     """Log-probability that both marginal counts land in their typical windows.
 
-    The count a of x = 0 is binomial; given a, the count of y = 0 is
-    B0 + B1 with B0 ~ Bin(a, s0) and B1 ~ Bin(total - a, s1). For each
-    typical a this sums P(B0 = b0) * P(lo - b0 <= B1 <= hi - b0) over b0,
-    with the window masses read off two-sided log tails of B1 built once per
-    a. Work is O(window_x * total).
+    ``log_law[a]`` is the log mass of the paths whose count of row symbol 0
+    is a, for a in 0..total (a defective law when some paths were rejected
+    early). Given a, the count of column symbol 0 is B0 + B1 with
+    B0 ~ Bin(a, s0) and B1 ~ Bin(total - a, s1), the conditional rates of
+    ``joint``. For each typical a with mass this sums
+    P(B0 = b0) * P(lo - b0 <= B1 <= hi - b0) over b0, with the window masses
+    read off two-sided log tails of B1 built once per a. Work is
+    O(window_rows * total).
 
-    The y-window is an interval [lo, hi]: each symbol's test holds on an
+    The column window is an interval [lo, hi]: each symbol's test holds on an
     interval of counts (its rounded frequency is monotone in the count).
     """
-    a_vals = np.nonzero(x_mask)[0]
-    b_vals = np.nonzero(y_mask)[0]
+    a_vals = np.nonzero(row_mask & (log_law > -np.inf))[0]
+    b_vals = np.nonzero(col_mask)[0]
     if a_vals.size == 0 or b_vals.size == 0:
         return -np.inf
     lo, hi = int(b_vals[0]), int(b_vals[-1])
@@ -242,7 +262,6 @@ def _binary_log_accept(
     rx1 = joint[1, 0] + joint[1, 1]
     s0 = joint[0, 0] / rx0 if rx0 > 0 else 0.0
     s1 = joint[1, 0] / rx1 if rx1 > 0 else 0.0
-    log_pa = _binom_logpmf(a_vals, total, rx0)
 
     per_a = np.empty(a_vals.size)
     for i, a in enumerate(a_vals):
@@ -253,17 +272,18 @@ def _binary_log_accept(
             np.maximum(lo - b0, 0),
             np.minimum(hi - b0, rest),
         )
-        per_a[i] = logsumexp(_binom_logpmf(b0, a, s0) + windows)
-    return float(logsumexp(per_a + log_pa))
+        per_a[i] = _logsumexp(_binom_logpmf(b0, a, s0) + windows)
+    return _logsumexp(per_a + log_law[a_vals])
 
 
-def _report_from_log_accepts(
+def _exact_report(
     config: ProtocolConfig,
-    log_accept_p: float,
-    log_accept_q: float,
-    reject_empty: bool = False,
+    log_accepts: tuple[float, float],
+    e_ts: tuple[float, float],
+    reject_empty: bool,
 ) -> ErrorReport:
-    """Fixed-horizon report: stops at round n under both hypotheses."""
+    """Report from the log accept mass and E[T] under (null, alternative)."""
+    log_accept_p, log_accept_q = log_accepts
     if reject_empty:
         # Nothing is ever rejected (e.g. eta >= 1), so both hypotheses
         # accept with probability exactly 1; bypass the log-domain sums,
@@ -282,36 +302,78 @@ def _report_from_log_accepts(
         beta=min(beta, 1.0),
         log_alpha=log_alpha,
         log_beta=log_accept_q,
-        e_t_h0=float(config.n),
-        e_t_h1=float(config.n),
+        e_t_h0=e_ts[0],
+        e_t_h1=e_ts[1],
         method="exact",
     )
 
 
-def _exact_fixed_binary(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorReport:
+def _exact_binary(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorReport:
+    """Exact errors of a 2x2 pair under either policy, over marginal counts.
+
+    Early rejects see only the count b of y = 0, and the verdict at the
+    horizon only b and the count of x = 0. So, under each measure:
+
+    * The y-count law: the log mass of the paths that reach the horizon, over
+      b. With a fixed horizon it is Bin(N, r_y0). Early-decide builds it
+      round by round: a log-convolution with Bin(k, r_y0), then the counts
+      the round rejects are removed and their mass is recorded.
+    * The accept mass: the sum over typical b of law(b) * P(x typical | b),
+      from ``_binary_log_accept`` with x and y swapped.
+
+    E[T] = n - sum over t of (n - t) * P(rejected at round t). Work is
+    O(N^2) log-additions for the early law, plus O(window_y * N).
+    """
+    n, k = config.n, config.k
     total = config.total_samples
     rule = _DecisionRule(config, *marginals(p))
     x_mask = rule.binary_window(total, rule.p_x.probs)
     y_mask = rule.binary_window(total, rule.p_y.probs)
-    log_accept_p = _binary_log_accept(p.probs, x_mask, y_mask, total)
-    log_accept_q = _binary_log_accept(q.probs, x_mask, y_mask, total)
-    return _report_from_log_accepts(
-        config, log_accept_p, log_accept_q, reject_empty=bool(x_mask.all() and y_mask.all())
-    )
+    # rejects[t - 1]: the counts of y = 0 that round t < n rejects.
+    rejects = []
+    if config.policy_kind is PolicyKind.EARLY_DECIDE:
+        rejects = [
+            ~rule.binary_window(t * k, rule.p_y.probs, margin)
+            for t, margin in enumerate(rule.reject_margins.tolist(), 1)
+        ]
+    log_accepts, e_ts = [], []
+    for joint in (p.probs, q.probs):
+        ry0 = joint[0, 0] + joint[1, 0]
+        e_t = float(n)
+        if not rejects:
+            law = _binom_logpmf(np.arange(total + 1), total, ry0)
+        else:
+            step = _binom_logpmf(np.arange(k + 1), k, ry0).tolist()
+            law = np.zeros(1)  # index: count of y = 0 so far
+            for t in range(1, n + 1):
+                grown = np.full(law.size + k, -np.inf)
+                for j, log_w in enumerate(step):
+                    part = grown[j : j + law.size]
+                    np.logaddexp(part, law + log_w, out=part)
+                law = grown
+                if t < n and rejects[t - 1].any():
+                    killed = rejects[t - 1]
+                    e_t -= (n - t) * math.exp(np.logaddexp.reduce(law[killed]))
+                    law[killed] = -np.inf
+                    if law.max() == -np.inf:  # nothing survives
+                        law = np.full(total + 1, -np.inf)
+                        break
+        log_accepts.append(_binary_log_accept(joint.T, law, y_mask, x_mask, total))
+        e_ts.append(e_t)
+    reject_empty = bool(x_mask.all() and y_mask.all()) and not any(r.any() for r in rejects)
+    return _exact_report(config, log_accepts, e_ts, reject_empty)
 
 
-def _exact_fixed_general(
-    config: ProtocolConfig, p: JointPmf, q: JointPmf, cell_budget: int
-) -> ErrorReport:
+def _exact_fixed_general(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorReport:
     """Joint-type enumeration: O(N^(cells-1)) types, each O(cells) to score."""
     total = config.total_samples
     nx, ny = p.probs.shape
     cells = nx * ny
     n_types = count_type_vectors(total, cells)
-    if n_types > cell_budget:
+    if n_types > DEFAULT_CELL_BUDGET:
         raise TooLarge(
             f"{n_types} joint types at N={total} exceeds the cell budget "
-            f"{cell_budget}; use the Monte Carlo method"
+            f"{DEFAULT_CELL_BUDGET}; use the Monte Carlo method"
         )
     rule = _DecisionRule(config, *marginals(p))
     # ok[s][count] tables of the rule's per-symbol test, so the loop below
@@ -365,110 +427,27 @@ def _exact_fixed_general(
     _recurse([], total, 0)
     log_accept_p = float(logsumexp(accept_logs_p)) if accept_logs_p else -np.inf
     log_accept_q = float(logsumexp(accept_logs_q)) if accept_logs_q else -np.inf
-    return _report_from_log_accepts(
-        config, log_accept_p, log_accept_q, reject_empty=not rejected_any
-    )
+    n = float(config.n)
+    return _exact_report(config, (log_accept_p, log_accept_q), (n, n), not rejected_any)
 
 
-def _early_binary_outcome(
-    rule: _DecisionRule, joint: np.ndarray
-) -> tuple[float, float, float]:
-    """(accept mass, reject mass, E[T]) for early-decide under one measure.
-
-    Dynamic program over the per-round count of y = 0 among surviving (not
-    yet rejected) trajectories. The per-round increment is binomial in the
-    measure's y-marginal; the final x-typicality probability given the total
-    y-count is a two-binomial convolution. Linear domain is safe at the
-    <= 64 sample sizes this supports.
-    """
-    n, k = rule.config.n, rule.config.k
-    total = n * k
-    ry0 = joint[0, 0] + joint[1, 0]
-    ry1 = joint[0, 1] + joint[1, 1]
-    inc = np.exp(_binom_logpmf(np.arange(k + 1), k, ry0))
-
-    surv = np.array([1.0])  # index = count of y=0 after t rounds
-    reject_mass = 0.0
-    e_t = 0.0
-    for t in range(1, n):
-        surv = np.convolve(surv, inc)
-        killed = ~rule.binary_window(t * k, rule.p_y.probs, rule.reject_margins[t - 1])
-        killed_mass = float(surv[killed].sum())
-        reject_mass += killed_mass
-        e_t += t * killed_mass
-        surv = np.where(killed, 0.0, surv)
-    surv = np.convolve(surv, inc)
-    e_t += n * float(surv.sum())
-
-    y_ok = rule.binary_window(total, rule.p_y.probs)
-    x_mask = rule.binary_window(total, rule.p_x.probs)
-    x_all = bool(x_mask.all())
-    # P(x = 0 | y): one rate per observed y-value.
-    u0 = joint[0, 0] / ry0 if ry0 > 0 else 0.0
-    u1 = joint[0, 1] / ry1 if ry1 > 0 else 0.0
-    accept_mass = 0.0
-    for b in np.nonzero(surv > 0)[0]:
-        if not y_ok[b]:
-            reject_mass += float(surv[b])
-            continue
-        if x_all:
-            accept_mass += float(surv[b])
-            continue
-        x_dist = np.convolve(
-            np.exp(_binom_logpmf(np.arange(b + 1), b, u0)),
-            np.exp(_binom_logpmf(np.arange(total - b + 1), total - b, u1)),
-        )
-        p_x_ok = float(x_dist[x_mask].sum())
-        accept_mass += float(surv[b]) * p_x_ok
-        reject_mass += float(surv[b]) * (1.0 - p_x_ok)
-    return accept_mass, reject_mass, e_t
-
-
-def _exact_early_binary(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorReport:
-    rule = _DecisionRule(config, *marginals(p))
-    accept_p, reject_p, e_t_h0 = _early_binary_outcome(rule, p.probs)
-    accept_q, reject_q, e_t_h1 = _early_binary_outcome(rule, q.probs)
-    alpha = min(max(reject_p, 0.0), 1.0)
-    # A reject region of measure zero means certain acceptance; pin the
-    # endpoint instead of reporting 1 minus accumulated rounding.
-    beta = 1.0 if reject_q == 0.0 else min(max(accept_q, 0.0), 1.0)
-    return ErrorReport(
-        n=config.n,
-        k=config.k,
-        eta=config.eta,
-        alpha=alpha,
-        beta=beta,
-        log_alpha=math.log(alpha) if alpha > 0 else -math.inf,
-        log_beta=math.log(beta) if beta > 0 else -math.inf,
-        e_t_h0=e_t_h0,
-        e_t_h1=e_t_h1,
-        method="exact",
-    )
-
-
-def exact_errors(
-    config: ProtocolConfig,
-    p: JointPmf,
-    q: JointPmf,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-) -> ErrorReport:
+def exact_errors(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorReport:
     """Exact error probabilities by summing type weights over the regions.
 
-    Fixed-horizon instances on binary pairs use the marginal-count fast path,
-    O(window_x * N) work for N samples; other alphabets enumerate joint types,
-    O(N^(cells-1)), under the cell budget. Early-decide instances are exactly
-    evaluable for binary pairs up to 64 samples; beyond that, use Monte Carlo.
+    Binary pairs go through ``_exact_binary`` under either policy, at any
+    horizon: O(N^2) work for early-decide, O(window * N) for the fixed
+    horizon. Other alphabets enumerate joint types, O(N^(cells-1)), under the
+    cell budget, and only with a fixed horizon; early-decide on them raises
+    ``TooLarge`` (use Monte Carlo).
     """
     _check_instance(config, p, q)
+    if p.probs.shape == (2, 2):
+        return _exact_binary(config, p, q)
     if config.policy_kind is PolicyKind.FIXED_HORIZON:
-        if p.probs.shape == (2, 2):
-            return _exact_fixed_binary(config, p, q)
-        return _exact_fixed_general(config, p, q, cell_budget)
-    if p.probs.shape == (2, 2) and config.total_samples <= 64:
-        return _exact_early_binary(config, p, q)
+        return _exact_fixed_general(config, p, q)
     raise TooLarge(
-        "early-decide exact evaluation supports binary alphabets up to 64 "
-        "samples; use the Monte Carlo method"
+        "early-decide exact evaluation supports binary alphabets only; "
+        "use the Monte Carlo method"
     )
 
 
@@ -536,7 +515,6 @@ def fit_exponent(
     p: JointPmf,
     q: JointPmf,
     budget_grid: Sequence[int],
-    cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> ExponentFit:
     """Least-squares slope of -ln(beta) versus total sample budget N.
 
@@ -560,7 +538,7 @@ def fit_exponent(
                 f"budget {total} is not a positive multiple of k={config.k}"
             )
         cfg = replace(config, n=total // config.k)
-        report = exact_errors(cfg, p, q, cell_budget=cell_budget)
+        report = exact_errors(cfg, p, q)
         if report.log_beta == -math.inf:
             raise InvalidConfig(
                 f"beta is exactly 0 at budget {total}: its acceptance region has "

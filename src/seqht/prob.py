@@ -174,17 +174,11 @@ class EmpiricalType(_ArrayValue):
     alphabet_y: Alphabet | None = None
 
     def __post_init__(self):
-        c = self.counts
-        # A C-contiguous int64 array (what counting produces) is checked as
-        # it is; anything else is converted first.
-        if not (type(c) is np.ndarray and c.dtype == np.int64 and c.flags.c_contiguous):
-            c = np.asarray(c)
-            if not np.issubdtype(c.dtype, np.integer):
-                cf = np.asarray(c, dtype=np.int64)
-                if not np.array_equal(cf, c):
-                    raise InvalidDistribution("counts must be integers")
-                c = cf
-            c = np.ascontiguousarray(c, dtype=np.int64)
+        raw = np.asarray(self.counts)
+        # Always a copy, so freezing it leaves the caller's array writable.
+        c = np.array(raw, dtype=np.int64, order="C")
+        if raw.dtype.kind not in "iu" and not np.array_equal(c, raw):
+            raise InvalidDistribution("counts must be integers")
         # Counts are alphabet-sized, where Python's min and sum on a list
         # beat numpy reductions several times over.
         flat = c.ravel().tolist()
@@ -251,8 +245,15 @@ def marginals(j: JointPmf) -> tuple[Pmf, Pmf]:
 
 
 def _symbols(seq: Sequence[int], alphabet: Alphabet) -> np.ndarray:
-    """The sequence as an int64 array, checked to hold only symbols of the alphabet."""
-    s = np.asarray(seq, dtype=np.int64)
+    """The sequence as an int64 array, checked to hold only symbols of the alphabet.
+
+    Symbols must be integers: a float or bool sequence is an error, never
+    truncated. An empty sequence passes (its dtype says nothing).
+    """
+    s = np.asarray(seq)
+    if s.dtype.kind not in "iu" and s.size:
+        raise AlphabetMismatch(f"sequence symbols must be integers, got dtype {s.dtype}")
+    s = s.astype(np.int64, copy=False)
     # One comparison checks both ends: a negative int64 reads as a uint64 >= 2**63.
     if (s.view(np.uint64) >= alphabet.size).any():
         raise AlphabetMismatch("sequence symbol outside the alphabet")
@@ -274,7 +275,7 @@ def empirical_type(
         return EmpiricalType(counts, alphabet_x)
     if alphabet_y is None:
         raise AlphabetMismatch("joint type requires the second alphabet")
-    y = np.asarray(seq_y, dtype=np.int64)
+    y = np.asarray(seq_y)
     if y.size != x.size:
         raise LengthMismatch(f"sequence lengths differ: {x.size} vs {y.size}")
     y = _symbols(y, alphabet_y)

@@ -22,6 +22,7 @@ the evaluation module.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -107,8 +108,10 @@ class ProtocolConfig:
         """Early-reject threshold at round t: eta plus a shrinking slack.
 
         The slack eta * (n - t) / n starts at roughly eta and vanishes at the
-        horizon, so a sequence that survives every early check and is typical
-        at t = n is never rejected early purely by sampling noise en route.
+        horizon. It ignores how few samples round t has seen, so early rounds
+        reject the null by sampling noise alone: with P = [[.81, .09],
+        [.09, .01]], k = 2, N = 2000 and the default eta, exact alpha is 0.21
+        against an epsilon of 0.05 (the fixed horizon gives 0).
         """
         return self.eta + self.eta * (self.n - t) / self.n
 
@@ -152,10 +155,20 @@ class Message:
     def __post_init__(self):
         if self.step < 1:
             raise InvalidConfig(f"message step must be >= 1, got {self.step}")
-        if isinstance(self.payload, bool) or (
-            isinstance(self.payload, int) and self.payload not in (0, 1)
-        ):
-            raise InconsistentMessages(f"bit payload must be 0 or 1, got {self.payload!r}")
+        payload = self.payload
+        if type(payload) is not int:
+            if isinstance(payload, EmpiricalType):
+                return
+            # Any other integer type (numpy's too) is stored as a Python int;
+            # a bool is not a bit (numpy's bool is not Integral).
+            if isinstance(payload, bool) or not isinstance(payload, numbers.Integral):
+                raise InconsistentMessages(
+                    f"payload must be a 0/1 bit or an EmpiricalType, got {payload!r}"
+                )
+            payload = int(payload)
+            object.__setattr__(self, "payload", payload)
+        if payload not in (0, 1):
+            raise InconsistentMessages(f"bit payload must be 0 or 1, got {payload!r}")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,10 @@
 the binary fixed-horizon accept probability: for each typical x-count it
 convolves the two conditional y-count binomials over the whole accepted
 y-window, using ``scipy.stats.binom`` for every term.
+
+``early_binary_outcome`` is the early-decide dynamic program over the count
+of y = 0 in linear probabilities; the tests use it at small sizes only (65
+samples at most).
 """
 
 from __future__ import annotations
@@ -11,6 +15,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import logsumexp
 from scipy.stats import binom
+
+from seqht.harness import _binom_logpmf
+from seqht.protocol import _DecisionRule
 
 
 def convolution_log_accept(
@@ -37,3 +44,57 @@ def convolution_log_accept(
         vals = np.where(valid, u[None, :] + v[np.clip(rest, 0, total - a)], -np.inf)
         per_a[i] = logsumexp(vals)
     return float(logsumexp(per_a + log_pa))
+
+
+def early_binary_outcome(
+    rule: _DecisionRule, joint: np.ndarray
+) -> tuple[float, float, float]:
+    """(accept mass, reject mass, E[T]) for early-decide under one measure.
+
+    Dynamic program over the per-round count of y = 0 among surviving (not
+    yet rejected) trajectories. The per-round increment is binomial in the
+    measure's y-marginal; the final x-typicality probability given the total
+    y-count is a two-binomial convolution. Linear domain is safe at the
+    <= 64 sample sizes this supports.
+    """
+    n, k = rule.config.n, rule.config.k
+    total = n * k
+    ry0 = joint[0, 0] + joint[1, 0]
+    ry1 = joint[0, 1] + joint[1, 1]
+    inc = np.exp(_binom_logpmf(np.arange(k + 1), k, ry0))
+
+    surv = np.array([1.0])  # index = count of y=0 after t rounds
+    reject_mass = 0.0
+    e_t = 0.0
+    for t in range(1, n):
+        surv = np.convolve(surv, inc)
+        killed = ~rule.binary_window(t * k, rule.p_y.probs, rule.reject_margins[t - 1])
+        killed_mass = float(surv[killed].sum())
+        reject_mass += killed_mass
+        e_t += t * killed_mass
+        surv = np.where(killed, 0.0, surv)
+    surv = np.convolve(surv, inc)
+    e_t += n * float(surv.sum())
+
+    y_ok = rule.binary_window(total, rule.p_y.probs)
+    x_mask = rule.binary_window(total, rule.p_x.probs)
+    x_all = bool(x_mask.all())
+    # P(x = 0 | y): one rate per observed y-value.
+    u0 = joint[0, 0] / ry0 if ry0 > 0 else 0.0
+    u1 = joint[0, 1] / ry1 if ry1 > 0 else 0.0
+    accept_mass = 0.0
+    for b in np.nonzero(surv > 0)[0]:
+        if not y_ok[b]:
+            reject_mass += float(surv[b])
+            continue
+        if x_all:
+            accept_mass += float(surv[b])
+            continue
+        x_dist = np.convolve(
+            np.exp(_binom_logpmf(np.arange(b + 1), b, u0)),
+            np.exp(_binom_logpmf(np.arange(total - b + 1), total - b, u1)),
+        )
+        p_x_ok = float(x_dist[x_mask].sum())
+        accept_mass += float(surv[b]) * p_x_ok
+        reject_mass += float(surv[b]) * (1.0 - p_x_ok)
+    return accept_mass, reject_mass, e_t

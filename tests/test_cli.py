@@ -206,6 +206,22 @@ def test_simulate_enumeration_budget_exit(tmp_path, capsys):
     assert "Monte Carlo" in capsys.readouterr().err
 
 
+def test_binary_early_decide_is_exact_past_64_samples(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        P_XY=PRODUCT_P,
+        Q_XY=UNIFORM,
+        protocol={"k": 2, "n": 50, "policy_kind": "early_decide"},
+        method="exact",
+        N_grid=[100, 200, 300, 400],
+    )
+    assert run(["simulate", "--config", cfg]) == EXIT_OK
+    assert run(["fit", "--config", cfg]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[1].split(",")[9] == "exact"
+    assert lines[2] == "N,neg_ln_beta,fitted"
+
+
 def test_simulate_config_validation(tmp_path, capsys):
     missing_q = write_config(
         tmp_path, name="m.json", P_XY=UNIFORM, protocol={"k": 2, "n": 1}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from _bruteforce import enumerate_errors
-from _oracles import convolution_log_accept
+from _oracles import convolution_log_accept, early_binary_outcome
 from seqht import (
     CONTINUE,
     EncoderKind,
@@ -26,6 +26,7 @@ from seqht import (
     TooLarge,
     chernoff_stein_baseline,
     decide,
+    default_eta,
     encode,
     error_report_csv_row,
     exact_errors,
@@ -45,8 +46,9 @@ from seqht import (
 from seqht.harness import (
     _binary_log_accept,
     _binom_logpmf,
-    _exact_fixed_binary,
+    _exact_binary,
     _exact_fixed_general,
+    _logsumexp,
 )
 from seqht.protocol import _DecisionRule
 
@@ -162,8 +164,8 @@ def test_general_enumeration_matches_binary_fast_path():
         p = _random_joint(rng)
         q = _random_joint(rng)
         config = ProtocolConfig(k=3, n=4, eta=eta)
-        fast = _exact_fixed_binary(config, p, q)
-        slow = _exact_fixed_general(config, p, q, cell_budget=10**6)
+        fast = _exact_binary(config, p, q)
+        slow = _exact_fixed_general(config, p, q)
         assert abs(fast.alpha - slow.alpha) <= 1e-12
         assert abs(fast.beta - slow.beta) <= 1e-12
         assert math.isclose(fast.log_beta, slow.log_beta, rel_tol=1e-10)
@@ -188,13 +190,19 @@ def _oracle_instances():
         yield CORRELATED, JointPmf.from_probs(cells), 40, 0.2
 
 
+def _x_count_law(joint, total):
+    return _binom_logpmf(np.arange(total + 1), total, joint.probs[0].sum())
+
+
 def test_binary_window_sums_match_convolution_oracle():
     deep_tail = 0
     for p, q, total, eta in _oracle_instances():
         rule = _DecisionRule(ProtocolConfig(k=total, n=1, eta=eta), *marginals(p))
         x_mask = rule.binary_window(total, rule.p_x.probs)
         y_mask = rule.binary_window(total, rule.p_y.probs)
-        fast_p, fast_q = (_binary_log_accept(j.probs, x_mask, y_mask, total) for j in (p, q))
+        fast_p, fast_q = (
+            _binary_log_accept(j.probs, _x_count_law(j, total), x_mask, y_mask, total) for j in (p, q)
+        )
         slow_p, slow_q = (convolution_log_accept(j.probs, x_mask, y_mask, total) for j in (p, q))
         assert abs(-math.expm1(fast_p) - -math.expm1(slow_p)) <= 1e-12
         assert abs(math.exp(fast_q) - math.exp(slow_q)) <= 1e-12
@@ -210,6 +218,19 @@ def test_binomial_log_pmf_is_scipy_formula_bit_for_bit():
     for n, p in [(0, 0.3), (7, 0.0), (7, 1.0), (64, 0.5), (137, 0.9999), (2000, 0.1)]:
         k = np.arange(n + 1)
         assert np.array_equal(_binom_logpmf(k, n, p), binom.logpmf(k, n, p))
+
+
+def test_logsumexp_is_scipy_arithmetic_bit_for_bit():
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(7)
+    arrays = [np.array([-np.inf, -np.inf]), np.array([3.0]), np.array([1.0, 1.0, -np.inf, 0.5])]
+    for _ in range(2000):
+        a = rng.normal(scale=float(rng.choice([1e-3, 1.0, 700.0])), size=int(rng.integers(1, 200)))
+        a[rng.random(a.size) < 0.2] = -np.inf
+        arrays.append(a)
+    for a in arrays:
+        assert _logsumexp(a) == float(logsumexp(a))
 
 
 def _inline_enumeration_accept(config, p_null, measure):
@@ -266,16 +287,69 @@ def test_nonbinary_alphabet_matches_inline_enumeration():
         assert abs(report.beta - _inline_enumeration_accept(config, p, q)) <= 1e-12
 
 
+def _assert_matches_early_oracle(config, p, q):
+    report = exact_errors(config, p, q)
+    rule = _DecisionRule(config, *marginals(p))
+    _, reject_p, e_t_p = early_binary_outcome(rule, p.probs)
+    accept_q, _, e_t_q = early_binary_outcome(rule, q.probs)
+    assert abs(report.alpha - reject_p) <= 1e-12
+    assert abs(report.beta - accept_q) <= 1e-12
+    assert abs(report.e_t_h0 - e_t_p) <= 1e-12
+    assert abs(report.e_t_h1 - e_t_q) <= 1e-12
+
+
+def test_early_decide_matches_linear_oracle():
+    rng = np.random.default_rng(64)
+    for case in range(120):
+        raw = rng.dirichlet(np.ones(4))
+        if case % 3 == 0:
+            raw[rng.integers(4)] = 0.0
+        p = JointPmf.from_probs(raw.reshape(2, 2) / raw.sum())
+        q = _random_joint(rng, floor=float(rng.choice([0.0, 0.05])))
+        k = int(rng.integers(1, 9))
+        n = int(rng.integers(1, 64 // k + 1))
+        eta = 1.0 + float(rng.uniform(0.0, 0.5)) if case % 10 == 0 else float(rng.uniform(0.01, 0.5))
+        config = ProtocolConfig(k=k, n=n, eta=eta, policy_kind=PolicyKind.EARLY_DECIDE)
+        _assert_matches_early_oracle(config, p, q)
+
+
+def _inside_wilson(exact, p_hat, trials):
+    """Whether ``exact`` lies in the 95% Wilson interval around ``p_hat``.
+
+    The 1e-9 relative slack absorbs the rounding of the interval's own ends
+    (at p_hat = 0 the lower end is 0 only up to rounding).
+    """
+    z2 = 1.959963984540054**2
+    center = (p_hat + z2 / (2 * trials)) / (1.0 + z2 / trials)
+    return abs(exact - center) <= wilson_halfwidth(p_hat, trials) * (1.0 + 1e-9)
+
+
+def test_early_decide_exact_at_large_horizon_matches_monte_carlo():
+    n, k = 1000, 2
+    config = ProtocolConfig(
+        k=k, n=n, eta=default_eta(n, k), policy_kind=PolicyKind.EARLY_DECIDE
+    )
+    exact = exact_errors(config, PRODUCT_P, UNIFORM)
+    trials = 20_000
+    mc = monte_carlo_errors(config, PRODUCT_P, UNIFORM, trials=trials, seed=3)
+    assert 0.2 < exact.alpha < 0.22
+    assert _inside_wilson(exact.alpha, mc.alpha, trials)
+    assert _inside_wilson(exact.beta, mc.beta, trials)
+    # T / n lies in [0, 1], so its variance is at most mean * (1 - mean): the
+    # Wilson interval of a proportion covers its mean conservatively.
+    assert _inside_wilson(exact.e_t_h0 / n, mc.e_t_h0 / n, trials)
+
+
 # ---------------------------------------------------------------------------
 # exact evaluation: guards
 
 
 def test_early_exact_only_for_small_binary():
+    # N = 65: binary pairs are exact under early-decide at any horizon.
     config = ProtocolConfig(
         k=5, n=13, eta=0.1, policy_kind=PolicyKind.EARLY_DECIDE
     )
-    with pytest.raises(TooLarge, match="Monte Carlo"):
-        exact_errors(config, CORRELATED, UNIFORM)
+    _assert_matches_early_oracle(config, CORRELATED, UNIFORM)
 
     three = JointPmf.from_probs(np.full((3, 2), 1.0 / 6.0))
     small = ProtocolConfig(k=2, n=2, eta=0.1, policy_kind=PolicyKind.EARLY_DECIDE)
@@ -288,9 +362,6 @@ def test_joint_type_budget_guard():
     config = ProtocolConfig(k=10, n=80, eta=0.1)
     with pytest.raises(TooLarge):
         exact_errors(config, three, three)
-    small = ProtocolConfig(k=2, n=3, eta=0.1)
-    with pytest.raises(TooLarge):
-        exact_errors(small, three, three, cell_budget=5)
 
 
 def test_shape_mismatch_rejected():

@@ -179,6 +179,23 @@ def test_frequencies_are_valid_distributions():
     assert fj.probs.sum() == pytest.approx(1.0)
 
 
+def test_empirical_type_rejects_non_integer_symbols():
+    a2 = Alphabet(2)
+    for x, y in (([0.9, 1.5], None), ([0, 1], [0.0, 1.0]), ([True, False], None)):
+        with pytest.raises(AlphabetMismatch, match="integers"):
+            empirical_type(x, a2, y, None if y is None else a2)
+    with pytest.raises(LengthMismatch):
+        empirical_type(np.array([], dtype=np.float64), a2)
+
+
+def test_empirical_type_leaves_the_callers_counts_writable():
+    c = np.array([3, 1])
+    t = EmpiricalType(c, Alphabet(2))
+    assert c.flags.writeable and not t.counts.flags.writeable
+    c[0] = 0
+    assert t.counts.tolist() == [3, 1]
+
+
 def test_empirical_type_rejects_fractional_counts():
     with pytest.raises(InvalidDistribution):
         EmpiricalType(np.array([1.5, 2.5]), Alphabet(2))

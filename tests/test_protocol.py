@@ -133,6 +133,17 @@ def test_decide_validates_messages():
         decide(ft, [Message(step=1, payload=short_type)], [0] * 4, 1, P_JOINT)
 
 
+def test_message_bits_take_any_integer_type_as_a_python_int():
+    cfg = one_bit_config(n=1)
+    for bit in (np.int64(1), np.uint8(1), 1):
+        msg = Message(step=1, payload=bit)
+        assert type(msg.payload) is int and msg.payload == 1
+        assert decide(cfg, [msg], [0, 0, 0, 1], 1, P_JOINT) == ACCEPT
+    for bad in (np.int64(5), 2, -1, True, np.bool_(True), 1.0, "1", None):
+        with pytest.raises(InconsistentMessages):
+            Message(step=1, payload=bad)
+
+
 def test_decide_early_policy_rejects_on_widened_margin():
     cfg = one_bit_config(n=4, eta=0.2, policy_kind="early_decide")
     msgs = [Message(step=1, payload=1)]
@@ -347,6 +358,13 @@ def test_membership_rejects_symbols_outside_the_alphabet():
         acceptance_region_membership(cfg, Q_UNIFORM, (0, 1, 2, 1), (1, 0, 1, 0))
     with pytest.raises(AlphabetMismatch):
         acceptance_region_membership(cfg, Q_UNIFORM, (0, 1, 0, 1), (1, 0, -1, 0))
+
+
+def test_membership_rejects_non_integer_symbols():
+    cfg = ProtocolConfig(k=1, n=2, eta=0.5)
+    for x, y in (([0.9, 1.5], [0, 1]), ([0, 1], [0.0, 1.0]), ([True, False], [0, 1])):
+        with pytest.raises(AlphabetMismatch, match="integers"):
+            acceptance_region_membership(cfg, Q_UNIFORM, x, y)
 
 
 def test_encoders_induce_identical_acceptance_region():
