@@ -177,7 +177,8 @@ class EmpiricalType(_ArrayValue):
         raw = np.asarray(self.counts)
         # Always a copy, so freezing it leaves the caller's array writable.
         c = np.array(raw, dtype=np.int64, order="C")
-        if raw.dtype.kind not in "iu" and not np.array_equal(c, raw):
+        # A bool is not a count, though it converts to 0 or 1 exactly.
+        if raw.dtype.kind == "b" or (raw.dtype.kind not in "iu" and not np.array_equal(c, raw)):
             raise InvalidDistribution("counts must be integers")
         # Counts are alphabet-sized, where Python's min and sum on a list
         # beat numpy reductions several times over.
@@ -254,10 +255,21 @@ def _symbols(seq: Sequence[int], alphabet: Alphabet) -> np.ndarray:
     if s.dtype.kind not in "iu" and s.size:
         raise AlphabetMismatch(f"sequence symbols must be integers, got dtype {s.dtype}")
     s = s.astype(np.int64, copy=False)
-    # One comparison checks both ends: a negative int64 reads as a uint64 >= 2**63.
-    if (s.view(np.uint64) >= alphabet.size).any():
+    # One maximum checks both ends: a negative int64 reads as a uint64 >= 2**63.
+    if s.view(np.uint64).max(initial=0) >= alphabet.size:
         raise AlphabetMismatch("sequence symbol outside the alphabet")
     return s
+
+
+def _tally(seq: Sequence[int], alphabet: Alphabet) -> np.ndarray:
+    """The counts ``empirical_type(seq, alphabet)`` holds, with its checks and
+    errors, without building the type: checked symbols can only tally to
+    nonnegative counts of the alphabet's size, and a nonempty sequence to a
+    positive total."""
+    x = _symbols(seq, alphabet)
+    if x.size == 0:
+        raise LengthMismatch("cannot take the type of an empty sequence")
+    return np.bincount(x, minlength=alphabet.size)
 
 
 def empirical_type(
@@ -267,12 +279,11 @@ def empirical_type(
     alphabet_y: Alphabet | None = None,
 ) -> EmpiricalType:
     """Tally a symbol sequence (or an aligned pair of sequences) into counts."""
+    if seq_y is None:
+        return EmpiricalType(_tally(seq_x, alphabet_x), alphabet_x)
     x = _symbols(seq_x, alphabet_x)
     if x.size == 0:
         raise LengthMismatch("cannot take the type of an empty sequence")
-    if seq_y is None:
-        counts = np.bincount(x, minlength=alphabet_x.size)
-        return EmpiricalType(counts, alphabet_x)
     if alphabet_y is None:
         raise AlphabetMismatch("joint type requires the second alphabet")
     y = np.asarray(seq_y)

@@ -42,11 +42,12 @@ from .prob import (
     JointPmf,
     Pmf,
     _symbols,
+    _tally,
     count_type_vectors,
     empirical_type,
     marginals,
 )
-from .rng import categorical_cdf, categorical_thresholds, uniform_ints
+from .rng import categorical_cdf, categorical_thresholds, random_bits_into, uniform_ints
 
 
 class EncoderKind(str, Enum):
@@ -247,14 +248,26 @@ class _DecisionRule:
         """Early-reject margins of rounds 1..n-1."""
         return self.config.reject_margin(np.arange(1, self.config.n))
 
-    def symbol_ok(self, counts, total, target: np.ndarray, margin=None) -> np.ndarray:
+    def symbol_ok(self, counts, total, target, margin=None):
         """The typicality test of each symbol s, on raw integer counts:
-        |counts[..., s] / total - target[s]| <= margin (eta unless given)."""
-        margin = self.config.eta if margin is None else margin
-        return np.abs(np.asarray(counts) / total - target) <= margin
+        |counts[..., s] / total - target[s]| <= margin (eta unless given).
 
-    def typical(self, counts, total, target: np.ndarray, margin=None) -> np.ndarray:
+        Arrays broadcast; on Python numbers it is the same IEEE arithmetic,
+        since counts and totals below 2**53 convert to floats exactly.
+        """
+        margin = self.config.eta if margin is None else margin
+        return abs(counts / total - target) <= margin
+
+    def typical(self, counts: np.ndarray, total, target: np.ndarray, margin=None) -> np.ndarray:
         return self.symbol_ok(counts, total, target, margin).all(axis=-1)
+
+    def typical_one(self, counts: np.ndarray, total: int, target: np.ndarray, margin=None) -> bool:
+        """``typical`` of one count vector, tested symbol by symbol on Python
+        numbers: on alphabet-sized vectors numpy's fixed cost per call is
+        several times the arithmetic."""
+        return all(
+            self.symbol_ok(c, total, p, margin) for c, p in zip(counts.tolist(), target.tolist())
+        )
 
     def binary_window(self, total: int, target: np.ndarray, margin=None) -> np.ndarray:
         """Typicality of each binary type (c, total - c), c = 0..total."""
@@ -269,11 +282,11 @@ def encode(config: ProtocolConfig, x_prefix: Sequence[int], p_x: Pmf) -> Message
     marginal. Full-type: sends the empirical type itself.
     """
     t = _blocked_length(config, len(x_prefix))
-    x_type = empirical_type(x_prefix, p_x.alphabet)
     if config.encoder_kind is EncoderKind.ONE_BIT:
-        typical = _DecisionRule(config, p_x).typical(x_type.counts, len(x_prefix), p_x.probs)
+        counts = _tally(x_prefix, p_x.alphabet)
+        typical = _DecisionRule(config, p_x).typical_one(counts, len(x_prefix), p_x.probs)
         return Message(step=t, payload=int(typical))
-    return Message(step=t, payload=x_type)
+    return Message(step=t, payload=empirical_type(x_prefix, p_x.alphabet))
 
 
 def decide(
@@ -314,16 +327,15 @@ def _decide(
 
     if t < config.n:
         if config.policy_kind is PolicyKind.EARLY_DECIDE:
-            y_type = empirical_type(y_prefix, p_y.alphabet)
+            y_counts = _tally(y_prefix, p_y.alphabet)
             margin = config.reject_margin(t)
-            if not rule.typical(y_type.counts, len(y_prefix), p_y.probs, margin):
+            if not rule.typical_one(y_counts, len(y_prefix), p_y.probs, margin):
                 return REJECT
         return CONTINUE
     if t > config.n:
         raise InvalidConfig(f"round {t} beyond the horizon n={config.n}")
 
-    y_type = empirical_type(y_prefix, p_y.alphabet)
-    y_ok = rule.typical(y_type.counts, len(y_prefix), p_y.probs)
+    y_ok = rule.typical_one(_tally(y_prefix, p_y.alphabet), len(y_prefix), p_y.probs)
     if config.encoder_kind is EncoderKind.ONE_BIT:
         if not isinstance(payload, int):
             raise InconsistentMessages("one-bit decider received a non-bit payload")
@@ -333,7 +345,7 @@ def _decide(
             raise InconsistentMessages("full-type decider received a non-type payload")
         if payload.is_joint or payload.alphabet_x != rule.p_x.alphabet:
             raise AlphabetMismatch("full-type payload is not a type over the x-alphabet")
-        x_ok = rule.typical(payload.counts, payload.total, rule.p_x.probs)
+        x_ok = rule.typical_one(payload.counts, payload.total, rule.p_x.probs)
     return ACCEPT if (x_ok and y_ok) else REJECT
 
 
@@ -446,28 +458,139 @@ def acceptance_region_membership(
     return verdicts[-1] == ACCEPT
 
 
-# Samples per trial drawn in one block of simulate_batch, rounded down to
-# whole rounds (at least one). On a 16,384-trial Monte Carlo chunk at N=2000
-# (2 MB L2 cache per core), blocks of 8 or 16 samples took 0.32-0.35 s and
-# blocks of 32, whose 4 MB draw arrays spill the cache, 0.64 s; with few
-# trials, small blocks cost more in per-block overhead.
-_BLOCK_SAMPLES = 16
+# Draws (trials x samples) per tile of simulate_batch, rounded down to whole
+# rounds (at least one). A tile's two uint64 buffers then take 1 MB and stay
+# in a 2 MB L2 cache: on 16,384 trials, hashing tiles of 16 draws per trial
+# took 5.5 ns per draw, tiles of 2 or 4 took 2.5 ns, and a 16,384-trial chunk
+# at N = 2000 ran about 10% faster with 4 than with 2.
+_TILE_DRAWS = 65_536
+
+# Early-decide checks the y-marginal once per block of at least this many
+# rounds, filled tile by tile. With one round per check, the per-check
+# bookkeeping held the interpreter lock long enough that two threads lost
+# their scaling.
+_DECISION_ROUNDS = 8
 
 
-def _marginal_counts(above: np.ndarray, total, shape: tuple[int, int]):
-    """x and y symbol counts, symbols last, from ``above[j]``: the number of
-    draws with m >= T_j (axis 0 runs over the cells-1 thresholds).
+class _DrawTiles:
+    """Buffers to hash and count one tile of draws at a time, allocated once.
+
+    ``words`` holds each threshold T_j < 2**53 as the raw word T_j << 11; a
+    threshold of 2**53 is never reached and gets no word (see ``seqht.rng``).
+    Tiles have at most ``rows`` draws per trial, for at most ``trials``
+    trials. Hits are summed over groups of ``group`` consecutive draws (None:
+    the whole tile) in uint8 when a group is shorter than 256 draws.
+    """
+
+    def __init__(self, thresholds: np.ndarray, trials: int, rows: int, group: int | None):
+        self.words = thresholds[thresholds < 2**53] << np.uint64(11)
+        self.group = group
+        size = rows * trials
+        self.bits = np.empty(size, dtype=np.uint64)
+        self.scratch = np.empty(size, dtype=np.uint64)
+        self.hits = np.empty(size, dtype=np.bool_)
+        narrow = (group or rows) < 256
+        self.partial = np.empty(size // (group or rows), dtype=np.uint8 if narrow else np.int64)
+
+    def add_counts(self, seeds: np.ndarray, start: int, rows: int, out: np.ndarray):
+        """Add to ``out[j, g]`` the number of draws of group g with word >=
+        ``words[j]``, for the tile of counters start..start+rows-1 of each
+        trial (trials last)."""
+        trials = seeds.size
+        size = rows * trials
+        bits = self.bits[:size].reshape(rows, trials)
+        random_bits_into(seeds, start, bits, self.scratch[:size].reshape(rows, trials))
+        hits = self.hits[:size].reshape(rows, trials)
+        group = self.group or rows
+        grouped = hits.view(np.uint8).reshape(rows // group, group, trials)
+        partial = self.partial[: size // group].reshape(rows // group, trials)
+        for j, word in enumerate(self.words):
+            np.greater_equal(bits, word, out=hits)
+            np.add.reduce(grouped, axis=1, out=partial)
+            out[j] += partial
+
+
+def _cell_counts(above: np.ndarray, total, shape: tuple[int, int]) -> np.ndarray:
+    """Joint cell counts, cells first in the joint's shape, from ``above[j]``:
+    the number of draws with word >= T_j << 11 (axis 0 runs over the cells-1
+    thresholds).
 
     ``total`` is the number of draws and broadcasts against ``above[0]``.
     Draws of cell i number above[i-1] - above[i], with above[-1] = total and
     above[cells-1] = 0.
     """
-    cells = np.zeros((len(above) + 1,) + above.shape[1:], dtype=np.int64)
+    cells = np.empty((len(above) + 1,) + above.shape[1:], dtype=np.int64)
     cells[0] = total
+    cells[1:] = above
     cells[:-1] -= above
-    cells[1:] += above
-    cells = cells.reshape(shape + above.shape[1:])
-    return np.moveaxis(cells.sum(axis=1), 0, -1), np.moveaxis(cells.sum(axis=0), 0, -1)
+    return cells.reshape(shape + above.shape[1:])
+
+
+def _horizon_counts(seeds: np.ndarray, thresholds: np.ndarray, n: int, k: int, tile: int) -> np.ndarray:
+    """``above`` (see ``_cell_counts``) of each trial over the whole horizon,
+    hashed ``tile`` rounds at a time."""
+    above = np.zeros((thresholds.size, seeds.size), dtype=np.int64)
+    rows = tile * k
+    tiles = _DrawTiles(thresholds, seeds.size, rows, None)
+    # Tiles add up in uint8, moved into ``above`` before they could wrap:
+    # adding each tile straight into int64 made a 16,384-trial chunk 11%
+    # slower (11 us per tile and threshold, against 26 us for the compare).
+    per_flush = 255 // rows
+    sums = np.zeros((thresholds.size, 1, seeds.size), dtype=np.uint8) if per_flush else above[:, None]
+    for i, t0 in enumerate(range(0, n, tile), 1):
+        tiles.add_counts(seeds, t0 * k, min(tile, n - t0) * k, sums)
+        if per_flush and (i % per_flush == 0 or t0 + tile >= n):
+            above += sums[:, 0]
+            sums[:] = 0
+    return above
+
+
+def _early_reject(
+    rule: _DecisionRule,
+    seeds: np.ndarray,
+    thresholds: np.ndarray,
+    shape: tuple[int, int],
+    tile: int,
+    stops: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stream the horizon ``tile`` rounds at a time and check the y-marginal
+    of every round before the horizon, once per block of whole tiles.
+
+    Writes the stopping round of each rejected trial into ``stops`` and
+    returns the trials never rejected with their ``above`` over the horizon.
+    """
+    n, k = rule.config.n, rule.config.k
+    live = np.arange(seeds.size)  # trials still drawing
+    above = np.zeros((thresholds.size, seeds.size), dtype=np.int64)
+    tiles = _DrawTiles(thresholds, seeds.size, tile * k, k)
+    block = tile * -(-_DECISION_ROUNDS // tile)  # whole tiles per check
+    through_buf = np.empty(thresholds.size * block * seeds.size, dtype=np.int64)
+    p_y = rule.p_y.probs[:, None, None]
+    for b0 in range(0, n, block):
+        rounds = min(block, n - b0)
+        # Hits of each round of the block, then counts through each round.
+        through = through_buf[: thresholds.size * rounds * live.size]
+        through = through.reshape(thresholds.size, rounds, live.size)
+        through[:] = 0
+        for t0 in range(0, rounds, tile):
+            r = min(tile, rounds - t0)
+            tiles.add_counts(seeds, (b0 + t0) * k, r * k, through[:, t0 : t0 + r])
+        through[:, 0] += above
+        for i in range(1, rounds):  # a prefix sum; np.cumsum on this axis is ~10x slower
+            through[:, i] += through[:, i - 1]
+        above = through[:, -1].copy()
+        checked = min(rounds, n - 1 - b0)
+        totals = k * np.arange(b0 + 1, b0 + 1 + checked)[:, None]
+        y = _cell_counts(through[:, :checked], totals, shape).sum(axis=0)  # symbols first
+        margins = rule.reject_margins[b0 : b0 + checked, None]
+        rejected = ~rule.symbol_ok(y, totals, p_y, margins).all(axis=0)
+        out = rejected.any(axis=0)
+        if out.any():
+            stops[live[out]] = b0 + 1 + rejected[:, out].argmax(axis=0)
+            live, seeds, above = live[~out], seeds[~out], above[:, ~out]
+            if not live.size:
+                break
+    return live, above
 
 
 def simulate_batch(
@@ -482,15 +605,24 @@ def simulate_batch(
     with run_protocol trial for trial because both address randomness by
     (seed, draw counter); this is the fast path for Monte Carlo evaluation.
 
-    The horizon streams in blocks of whole rounds (about ``_BLOCK_SAMPLES``
-    draws per trial), so memory is O(trials x cells) at any horizon. A draw
-    is never turned into a float or a symbol: with m its 53-bit integer and
-    T_j the integer thresholds of the joint's cdf, cdf[j] <= m * 2**-53
-    exactly when T_j <= m (see ``seqht.rng``), so counting m >= T_j per trial
-    yields the joint type the scalar protocol sees, and from it both
-    marginals. Early-decide checks the y-marginal after each round of a
-    block and stops drawing for trials it has rejected; counter addressing
+    The horizon streams in tiles of whole rounds, about ``_TILE_DRAWS``
+    draws for all trials together, hashed into buffers allocated once per
+    call, so memory is O(trials x cells) at any horizon. A draw is never
+    turned into a float or a symbol: with w its 64-bit word and T_j the
+    integer thresholds of the joint's cdf, the scalar protocol draws a
+    symbol past cell j exactly when w >= T_j << 11 (see ``seqht.rng``), so
+    counting those words per trial yields the joint type the scalar
+    protocol sees, and from it both marginals. Early-decide checks the
+    y-marginal after each round of a block of at least ``_DECISION_ROUNDS``
+    rounds and stops drawing for trials it has rejected; counter addressing
     keeps every other trial's draws unchanged.
+
+    On a 16,384-trial chunk of a 2x2 joint (2 MB L2 per core), per draw,
+    hashing took 1.8 ns, comparing with the three thresholds 0.8 ns and
+    counting the hits 0.15 ns, against 9.4, 0.9 and 1.2 ns for the
+    ``uniform_ints`` blocks of 16 draws per trial used before (medians of
+    five runs on one host); the fixed-horizon chunk at N = 200 peaks at
+    2.6 MB of allocations, against 7.5 MB.
     """
     if joint.probs.shape != p_null.probs.shape:
         raise LengthMismatch("source joint shape does not match null joint shape")
@@ -498,39 +630,20 @@ def simulate_batch(
     n, k = config.n, config.k
     shape = joint.probs.shape
     rule = _DecisionRule(config, *marginals(p_null))
-    thresholds = categorical_thresholds(categorical_cdf(joint.probs.ravel()))[:, None, None]
-    early = config.policy_kind is PolicyKind.EARLY_DECIDE
-    block = max(1, _BLOCK_SAMPLES // k)
+    thresholds = categorical_thresholds(categorical_cdf(joint.probs.ravel()))
+    trials = seeds.shape[0]
+    tile = max(1, _TILE_DRAWS // (k * max(1, trials)))  # rounds per tile
 
-    decisions = np.full(seeds.shape[0], REJECT, dtype=np.int64)
-    stops = np.full(seeds.shape[0], n, dtype=np.int64)
-    live = np.arange(seeds.shape[0])  # trials still drawing
-    above = np.zeros((thresholds.shape[0], live.size), dtype=np.int64)
-    for t0 in range(0, n, block):
-        rounds = min(block, n - t0)
-        counters = np.arange(t0 * k, (t0 + rounds) * k, dtype=np.uint64)[:, None]
-        hits = uniform_ints(seeds, counters) >= thresholds  # threshold, draw, trial
-        if not early:
-            above += hits.sum(axis=1)
-            continue
-        # Counts through each round of the block, then the early-reject check
-        # of the rounds before the horizon.
-        through = hits.reshape(len(hits), rounds, k, live.size).sum(axis=2)
-        through[:, 0] += above
-        for i in range(1, rounds):  # a prefix sum; np.cumsum on this axis is ~10x slower
-            through[:, i] += through[:, i - 1]
-        above = through[:, -1]
-        checked = min(rounds, n - 1 - t0)
-        totals = k * np.arange(t0 + 1, t0 + 1 + checked)[:, None]
-        _, y = _marginal_counts(through[:, :checked], totals, shape)
-        margins = rule.reject_margins[t0 : t0 + checked, None, None]
-        rejected = ~rule.typical(y, totals[..., None], rule.p_y.probs, margins)
-        out = rejected.any(axis=0)
-        if out.any():
-            stops[live[out]] = t0 + 1 + rejected[:, out].argmax(axis=0)
-            live, seeds, above = live[~out], seeds[~out], above[:, ~out]
+    decisions = np.full(trials, REJECT, dtype=np.int64)
+    stops = np.full(trials, n, dtype=np.int64)
+    if config.policy_kind is PolicyKind.FIXED_HORIZON:
+        live, above = np.arange(trials), _horizon_counts(seeds, thresholds, n, k, tile)
+    else:
+        live, above = _early_reject(rule, seeds, thresholds, shape, tile, stops)
 
-    x, y = _marginal_counts(above, n * k, shape)
-    accept = rule.typical(x, n * k, rule.p_x.probs) & rule.typical(y, n * k, rule.p_y.probs)
+    cells = _cell_counts(above, n * k, shape)  # marginals below are symbols first
+    x_ok = rule.symbol_ok(cells.sum(axis=1), n * k, rule.p_x.probs[:, None]).all(axis=0)
+    y_ok = rule.symbol_ok(cells.sum(axis=0), n * k, rule.p_y.probs[:, None]).all(axis=0)
+    accept = x_ok & y_ok
     decisions[live[accept]] = ACCEPT
     return decisions, stops

@@ -17,6 +17,18 @@ size-1), is therefore the number of j < size-1 with m >= T_j
 symbols with no float conversion and no search. ``run_protocol`` and
 ``simulate_batch`` both sample this way; ``uniforms`` and
 ``sample_categorical`` remain as the float form it is checked against.
+
+``simulate_batch`` goes one step further and compares the raw 64-bit words w
+(m = w >> 11) with T_j << 11, skipping the shift: since T_j << 11 has zero low
+bits, w >= T_j << 11 holds exactly when w >> 11 >= T_j. A threshold of 2**53
+would overflow; no m reaches it, so it is left out of the compare and its
+count stays 0 (mapping it to 2**64 - 1 instead would count a word of
+2**64 - 1 as a hit). T_j = 0 becomes 0, which every word reaches, as every m
+reaches T_j. The words come from ``random_bits_into``, which hashes a
+cache-sized tile of counters into preallocated buffers with in-place ufuncs;
+being a pure function of (seed, counter), a draw is the same whatever tile
+computes it. ``mix64``, ``random_bits`` and ``uniform_ints`` stay for the
+scalar paths, whose few draws per call would not repay the buffers.
 """
 
 from __future__ import annotations
@@ -62,6 +74,27 @@ def random_bits(seed, counter):
     with np.errstate(over="ignore"):
         state = s + _GAMMA * (c + _ONE)
     return mix64(state)
+
+
+def random_bits_into(seeds, start: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Write ``random_bits(seeds, start + i)`` into row i of ``out`` and return it.
+
+    ``seeds`` is a uint64 vector, ``out`` and ``scratch`` are uint64 arrays of
+    shape (rows, seeds.size); ``scratch`` is overwritten. Every pass runs in
+    place, so hashing a tile allocates only its rows' counter offsets.
+    """
+    offsets = np.arange(out.shape[0], dtype=np.uint64)
+    offsets += np.uint64(start)
+    offsets += _ONE
+    offsets *= _GAMMA
+    np.add(offsets[:, None], seeds, out=out)
+    # mix64 pass by pass: z ^= z >> 30; z *= M1; z ^= z >> 27; z *= M2; z ^= z >> 31.
+    for shift, mult in ((_S30, _M1), (_S27, _M2)):
+        np.right_shift(out, shift, out=scratch)
+        np.bitwise_xor(out, scratch, out=out)
+        np.multiply(out, mult, out=out)
+    np.right_shift(out, _S31, out=scratch)
+    return np.bitwise_xor(out, scratch, out=out)
 
 
 def uniform_ints(seed, counter):

@@ -203,6 +203,18 @@ def test_empirical_type_rejects_fractional_counts():
         EmpiricalType(np.array([-1, 2]), Alphabet(2))
 
 
+def test_empirical_type_rejects_bool_counts():
+    for counts in (np.array([True, True]), [True, False], np.array([[True], [True]])):
+        with pytest.raises(InvalidDistribution, match="counts must be integers"):
+            EmpiricalType(counts, Alphabet(2))
+    # The integer check still comes first: a bool array of the wrong shape is
+    # reported as non-integer, a negative integer array as negative.
+    with pytest.raises(InvalidDistribution, match="integers"):
+        EmpiricalType(np.array([True, False, True]), Alphabet(2))
+    with pytest.raises(InvalidDistribution, match="nonnegative"):
+        EmpiricalType(np.array([-1, 2, 3]), Alphabet(2))
+
+
 def test_linf_distance():
     a2 = Alphabet(2)
     p = Pmf.from_probs([0.75, 0.25])

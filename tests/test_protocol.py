@@ -211,6 +211,33 @@ def test_public_decide_builds_no_pmf(monkeypatch):
     assert built == []
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 10**6), min_size=1, max_size=4).filter(lambda c: sum(c) > 0),
+    eta=st.floats(1e-6, 1.0),
+    offsets=st.lists(st.sampled_from([-1, 0, 1]), min_size=4, max_size=4),
+    ulps=st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    early=st.booleans(),
+)
+def test_typicality_of_one_vector_is_the_array_test(counts, eta, offsets, ulps, early):
+    # Targets sit a gap of eta (give or take an ulp or two) from the
+    # frequencies, where any difference in rounding would flip a verdict.
+    def nudge(x, ulps):
+        for _ in range(abs(ulps)):
+            x = math.nextafter(x, math.copysign(math.inf, ulps))
+        return x
+
+    total = sum(counts)
+    target = np.array([nudge(c / total + d * eta, u) for c, d, u in zip(counts, offsets, ulps)])
+    cfg = ProtocolConfig(k=1, n=3, eta=eta, policy_kind="early_decide")
+    rule = seqht.protocol._DecisionRule(cfg, Pmf.from_probs(np.full(len(counts), 1 / len(counts))))
+    margin = cfg.reject_margin(1) if early else None
+    c = np.array(counts)
+    one = rule.typical_one(c, total, target, margin)
+    assert type(one) is bool
+    assert one == bool(rule.typical(c, total, target, margin))
+
+
 # Joints of 1x1 to 3x3 cells, zero cells anywhere.
 _joints = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
     lambda shape: st.lists(
@@ -436,6 +463,96 @@ def test_simulate_batch_matches_protocol_runs(policy, hypothesis, p_null, altern
         trace = run_protocol(cfg, p_null, SourceModel(hypothesis, joint, int(seed)))
         assert trace.decision == decisions[j]
         assert trace.stopping_time == stops[j]
+
+
+def _kernel_cases():
+    for hypothesis in (Hypothesis.H0, Hypothesis.H1):
+        for policy in ("fixed_horizon", "early_decide"):
+            case = f"{hypothesis.value}-{policy}"
+            # A round of 300 draws overflows a uint8 partial sum, and 3-round
+            # tiles do not divide the 4-round horizon.
+            yield pytest.param(policy, hypothesis, 300, 4, 0.06, None, id=f"{case}-k300")
+            # Tiles of 3 rounds and checks every 9 rounds, neither dividing 40.
+            yield pytest.param(policy, hypothesis, 3, 40, 0.05, 3 * 3 * 64, id=f"{case}-small-tiles")
+
+
+@pytest.mark.parametrize("policy, hypothesis, k, n, eta, tile_draws", list(_kernel_cases()))
+def test_simulate_batch_tiles_match_protocol_runs(monkeypatch, policy, hypothesis, k, n, eta, tile_draws):
+    if tile_draws is not None:
+        monkeypatch.setattr(seqht.protocol, "_TILE_DRAWS", tile_draws)
+    cfg = ProtocolConfig(k=k, n=n, eta=eta, policy_kind=policy)
+    joint = P_JOINT if hypothesis is Hypothesis.H0 else Q_UNIFORM
+    seeds = derive_seed(77, np.arange(64, dtype=np.uint64))
+    decisions, stops = simulate_batch(cfg, P_JOINT, joint, seeds)
+    outcomes = set()
+    for j, seed in enumerate(seeds):
+        trace = run_protocol(cfg, P_JOINT, SourceModel(hypothesis, joint, int(seed)))
+        assert trace.decision == decisions[j]
+        assert trace.stopping_time == stops[j]
+        outcomes.add((trace.stopping_time < n, trace.decision))
+    if policy == "early_decide" and hypothesis is Hypothesis.H1:
+        assert (True, REJECT) in outcomes  # some trials stop early
+    if hypothesis is Hypothesis.H0:
+        assert (False, ACCEPT) in outcomes
+
+
+# A leading zero cell gives T = 0; a cdf that reaches 1 at cell 2 of 6 gives
+# three thresholds of 2**53.
+@pytest.mark.parametrize(
+    "probs",
+    [[[0.0, 0.5], [0.25, 0.25]], [[0.0, 0.5, 0.5], [1e-17, 0.0, 0.0]], [[0.3, 0.0, 0.2], [0.1, 0.25, 0.15]]],
+)
+def test_simulate_batch_counts_raw_words_like_the_float_sampler(monkeypatch, probs):
+    # Random words almost never land on a threshold, so feed the kernel words
+    # on both sides of each T << 11 and at both ends of the 64-bit range.
+    joint = JointPmf.from_probs(probs)
+    cdf = categorical_cdf(joint.probs.ravel())
+    edges = {0, 2**64 - 1}
+    for t in categorical_thresholds(cdf).tolist():
+        edges |= {(t << 11) - 1, t << 11, (t << 11) | 0x7FF}
+    words = np.array(sorted(w for w in edges if 0 <= w < 2**64), dtype=np.uint64)
+
+    def fake_hash(seeds, start, out, scratch):
+        # Trial s sees the words rotated by s: word (counter + s) mod len.
+        counters = np.arange(start, start + out.shape[0])[:, None] + seeds.astype(np.int64)
+        out[:] = words[counters % words.size]
+        return out
+
+    cells = []
+    real_cells = seqht.protocol._cell_counts
+    monkeypatch.setattr(seqht.protocol, "random_bits_into", fake_hash)
+    monkeypatch.setattr(seqht.protocol, "_cell_counts", lambda *a: cells.append(real_cells(*a)) or cells[-1])
+    # Tiles of 4 draws, and a horizon long enough that the uint8 tile sums
+    # are moved into the int64 counts several times (T = 0 hits every word).
+    monkeypatch.setattr(seqht.protocol, "_TILE_DRAWS", 5 * words.size)
+    k, n = 2, 150
+    cfg = ProtocolConfig(k=k, n=n, eta=0.2)
+    simulate_batch(cfg, joint, joint, np.arange(words.size, dtype=np.uint64))
+    counts = cells[-1]  # the horizon's joint counts, trials last
+    for s in range(words.size):
+        seen = words[(np.arange(k * n) + s) % words.size]
+        drawn = sample_categorical(cdf, (seen >> np.uint64(11)) * 2.0**-53)
+        expected = np.bincount(drawn, minlength=cdf.size).reshape(joint.probs.shape)
+        np.testing.assert_array_equal(counts[..., s], expected)
+
+
+@pytest.mark.parametrize("policy, bound_mb", [("fixed_horizon", 3), ("early_decide", 16)])
+def test_simulate_batch_memory_at_a_full_chunk(policy, bound_mb):
+    # One Monte Carlo chunk of 16,384 trials at N = 200 under H0: the draws
+    # are hashed and counted in cache-sized tiles whose buffers are allocated
+    # once, so the peak is the per-trial counts plus a few tiles.
+    eta = 0.05 if policy == "fixed_horizon" else default_eta(100, 2)
+    cfg = ProtocolConfig(k=2, n=100, eta=eta, policy_kind=policy)
+    p = JointPmf.from_probs([[0.81, 0.09], [0.09, 0.01]])
+    seeds = derive_seed(5, np.arange(16_384, dtype=np.uint64))
+    tracemalloc.start()
+    try:
+        decisions, stops = simulate_batch(cfg, p, p, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 2**20
+    assert decisions.shape == stops.shape == (16_384,)
 
 
 @pytest.mark.parametrize("policy", ["fixed_horizon", "early_decide"])

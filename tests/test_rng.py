@@ -9,6 +9,8 @@ from seqht.rng import (
     categorical_thresholds,
     derive_seed,
     mix64,
+    random_bits,
+    random_bits_into,
     sample_categorical,
     uniform_block,
     uniform_ints,
@@ -121,3 +123,24 @@ def test_uniform_ints_scale_exactly_to_uniforms(seed, start, weights):
         _threshold_index(categorical_thresholds(cdf), m),
         sample_categorical(cdf, uniforms(np.uint64(seed), counters)),
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=9),
+    start=st.integers(0, 2**40),
+    rows=st.integers(1, 7),
+)
+@example(seeds=[2**64 - 1], start=0, rows=1)
+def test_random_bits_into_equals_random_bits(seeds, start, rows):
+    seeds = np.array(seeds, dtype=np.uint64)
+    out = np.empty((rows, seeds.size), dtype=np.uint64)
+    scratch = np.empty_like(out)
+    assert random_bits_into(seeds, start, out, scratch) is out
+    counters = np.arange(start, start + rows, dtype=np.uint64)[:, None]
+    np.testing.assert_array_equal(out, random_bits(seeds, counters))
+    # A strided view of a larger buffer, as the batch kernel's tiles are not.
+    wide = np.zeros((rows, seeds.size + 3), dtype=np.uint64)
+    random_bits_into(seeds, start, wide[:, 1:-2], np.empty_like(out))
+    np.testing.assert_array_equal(wide[:, 1:-2], out)
+    assert not wide[:, 0].any() and not wide[:, -2:].any()
