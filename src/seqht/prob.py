@@ -255,8 +255,8 @@ def _symbols(seq: Sequence[int], alphabet: Alphabet) -> np.ndarray:
     if s.dtype.kind not in "iu" and s.size:
         raise AlphabetMismatch(f"sequence symbols must be integers, got dtype {s.dtype}")
     s = s.astype(np.int64, copy=False)
-    # One maximum checks both ends: a negative int64 reads as a uint64 >= 2**63.
-    if s.view(np.uint64).max(initial=0) >= alphabet.size:
+    # One comparison checks both ends: a negative int64 reads as a uint64 >= 2**63.
+    if (s.view(np.uint64) >= alphabet.size).any():
         raise AlphabetMismatch("sequence symbol outside the alphabet")
     return s
 

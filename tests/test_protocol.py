@@ -556,6 +556,23 @@ def test_simulate_batch_memory_at_a_full_chunk(policy, bound_mb):
 
 
 @pytest.mark.parametrize("policy", ["fixed_horizon", "early_decide"])
+def test_simulate_batch_buffers_stop_at_the_horizon(policy):
+    # One trial of 4 rounds on a 3x3 joint: tiles are capped at the horizon,
+    # not sized for a tile's worth of draws the call never makes (which took
+    # 1.1 MB fixed-horizon and 5.4 MB early-decide).
+    cfg = ProtocolConfig(k=1, n=4, eta=0.3, policy_kind=policy)
+    p = JointPmf.from_probs(np.full((3, 3), 1 / 9))
+    tracemalloc.start()
+    try:
+        decisions, stops = simulate_batch(cfg, p, p, np.arange(1, dtype=np.uint64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**10
+    assert decisions.shape == stops.shape == (1,)
+
+
+@pytest.mark.parametrize("policy", ["fixed_horizon", "early_decide"])
 @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
 def test_simulate_batch_memory_is_bounded_at_long_horizons(policy, hypothesis):
     # 256 trials x 20,000 samples would be 41 MB of uniforms alone; the
