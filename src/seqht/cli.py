@@ -7,8 +7,9 @@ over a budget grid), ``verify`` (exact small-horizon identity checks).
 Every command is a pure function of the config file and the seed: validation
 happens before any computation, and output files are written byte-identically
 on re-runs. Exit codes are fixed so CI can gate on them: 0 success, 2
-validation failure, 3 solver non-convergence, 4 enumeration budget exceeded,
-5 verification failure.
+validation failure, 3 solver non-convergence, 4 exact evaluation out of reach
+(over the cell budget, or early-decide on a non-binary alphabet), 5
+verification failure.
 """
 
 from __future__ import annotations

@@ -38,8 +38,9 @@ class UnsupportedAlphabetSize(SeqHTError, ValueError):
 
 
 class TooLarge(SeqHTError, ValueError):
-    """Exact evaluation is out of reach: joint-type enumeration over its budget,
-    or early-decide on a non-binary alphabet."""
+    """Exact evaluation is out of reach: a non-binary alphabet whose y-count
+    tables would exceed the cell budget, or early-decide on a non-binary
+    alphabet."""
 
 
 class HorizonTooLarge(SeqHTError, ValueError):

@@ -9,7 +9,9 @@ cross-checkable against each other:
   marginals): the law of the y-count that reaches the horizon, then for each
   typical y-count the x-window mass as a short sum of binomial tails. A fixed
   horizon is the early-decide computation with no interim checks,
-* exact, for other alphabets with a fixed horizon, by enumerating joint types,
+* exact, for other alphabets with a fixed horizon, also over marginal
+  counts: for each typical x-count vector, the mass of the y-count vectors
+  that land in the typical box, from log-domain y-count tables,
 * a vectorized Monte Carlo estimator with reproducible per-trial seeds.
 
 All three classify types with the protocol's one decision rule, so they
@@ -34,7 +36,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlog1py, xlogy
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .errors import (
     HorizonTooLarge,
@@ -43,7 +45,7 @@ from .errors import (
     NotStrictlyPositive,
     TooLarge,
 )
-from .prob import JointPmf, Pmf, count_type_vectors, kl_divergence, marginals
+from .prob import JointPmf, Pmf, kl_divergence, marginals
 from .protocol import (
     ACCEPT,
     REJECT,
@@ -54,7 +56,7 @@ from .protocol import (
 )
 from .rng import derive_seed
 
-DEFAULT_CELL_BUDGET = 6_000_000
+DEFAULT_CELL_BUDGET = 20_000_000
 
 # Trials per work unit for Monte Carlo; fixed so that results cannot depend
 # on the worker count (each unit is deterministic, reduction order is fixed).
@@ -72,6 +74,11 @@ class ErrorReport:
     ``log_alpha``/``log_beta`` are exact natural logs (finite even when the
     linear value underflows to zero). Monte Carlo reports carry the trial
     count and 95% Wilson half-widths; exact reports leave them as None.
+
+    Exact ``alpha`` is the complement of the accept mass, -expm1(log accept),
+    so it is good to about 1e-16 absolute, not relative: a tiny alpha (say
+    1e-9) has only its first several digits right, though the CSV prints 17.
+    Exact ``beta`` and ``log_beta`` keep their relative precision.
     """
 
     n: int
@@ -364,71 +371,132 @@ def _exact_binary(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorRepo
     return _exact_report(config, log_accepts, e_ts, reject_empty)
 
 
-def _exact_fixed_general(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorReport:
-    """Joint-type enumeration: O(N^(cells-1)) types, each O(cells) to score."""
+def _log_step(table: np.ndarray, log_row: list[np.ndarray], forward: bool) -> np.ndarray:
+    """Add one sample of one x symbol to a log-domain y-count table.
+
+    Axis 0 of ``table`` holds the two measures, axis j + 1 the count of y
+    symbol j for every y symbol but the last, whose count is the table's
+    sample count less their sum. ``log_row[j]`` is the log of the joint cell
+    (x symbol, y = j) under each measure, shaped to broadcast. Forward, a
+    sample of y = j moves mass from count c to c + 1 on axis j + 1; mass
+    pushed past the top of an axis is dropped, since counts only grow and it
+    could never come back into the box. Backward, a table of log-probabilities
+    of landing in the box gathers from c + 1 the same way.
+    """
+    out = table + log_row[-1]
+    for j, log_w in enumerate(log_row[:-1]):
+        head = (slice(None),) * (j + 1)
+        dst, src = head + (slice(1, None),), head + (slice(None, -1),)
+        if not forward:
+            dst, src = src, dst
+        np.logaddexp(out[dst], table[src] + log_w, out=out[dst])
+    return out
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of each row of a 2-d array; -inf for a row of -inf."""
+    top = a.max(axis=1)
+    shift = np.where(top > -np.inf, top, 0.0)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.exp(a - shift[:, None]).sum(axis=1))
+
+
+def _exact_general(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorReport:
+    """Exact fixed-horizon errors for any pair of alphabets, over marginal counts.
+
+    The verdict reads only the marginal counts, and each typical set is a box
+    in count space. So the accept mass is a sum over the typical x-count
+    vectors a: the mass of the x-sequences with counts a, times the
+    probability that their y-counts, the sum of the row multinomials
+    Mult(a_i, P(y | x = i)), land in the y-box. Both measures are carried
+    side by side in log-domain tables over the counts of every y symbol but
+    the last, cut off at each symbol's largest typical count. A sample of x
+    symbol i adds the joint cells of row i, so the tables hold joint masses
+    and each a adds only the coefficient N! / prod(a_i!).
+
+    * Rows 0..nx-2 go forward, depth first: row i's table grows one sample
+      at a time from the table that the prefix a_0..a_{i-1} left.
+    * The last row goes backward: for each count m, the log mass of m more
+      samples of that row whose y-counts carry the table's into the box.
+    * Each typical a costs one log-dot of the two.
+
+    Work is about (forward tables + backward tables) * table cells; that
+    estimate sizes ``TooLarge`` before any table is built. The 2x2 case has
+    its own evaluator, ``_exact_binary``, whose summation order the
+    committed reference values carry.
+    """
     total = config.total_samples
     nx, ny = p.probs.shape
-    cells = nx * ny
-    n_types = count_type_vectors(total, cells)
-    if n_types > DEFAULT_CELL_BUDGET:
-        raise TooLarge(
-            f"{n_types} joint types at N={total} exceeds the cell budget "
-            f"{DEFAULT_CELL_BUDGET}; use the Monte Carlo method"
-        )
     rule = _DecisionRule(config, *marginals(p))
-    # ok[s][count] tables of the rule's per-symbol test, so the loop below
-    # scores a type by lookups alone.
-    counts_0_to_total = np.arange(total + 1)[:, None]
-    ok_x = rule.symbol_ok(counts_0_to_total, total, rule.p_x.probs).T.tolist()
-    ok_y = rule.symbol_ok(counts_0_to_total, total, rule.p_y.probs).T.tolist()
-
-    # Plain-Python inner loop: profiling shows per-type numpy dispatch costs
-    # more than the arithmetic itself at these sizes.
-    lg = [float(v) for v in gammaln(np.arange(total + 2))]
-    log_p = [math.log(v) if v > 0 else -math.inf for v in p.probs.ravel()]
-    log_q = [math.log(v) if v > 0 else -math.inf for v in q.probs.ravel()]
-    lg_total = lg[total + 1]
-
-    accept_logs_p: list[float] = []
-    accept_logs_q: list[float] = []
-    rejected_any = False
-
-    def _recurse(prefix: list[int], remaining: int, idx: int):
-        if idx == cells - 1:
-            prefix.append(remaining)
-            _score(prefix)
-            prefix.pop()
-            return
-        for v in range(remaining + 1):
-            prefix.append(v)
-            _recurse(prefix, remaining - v, idx + 1)
-            prefix.pop()
-
-    def _score(counts: list[int]):
-        nonlocal rejected_any
-        for xi in range(nx):
-            if not ok_x[xi][sum(counts[xi * ny : (xi + 1) * ny])]:
-                rejected_any = True
-                return
-        for yi in range(ny):
-            if not ok_y[yi][sum(counts[yi::ny])]:
-                rejected_any = True
-                return
-        wp = wq = lg_total
-        for c, lp, lq in zip(counts, log_p, log_q):
-            if c == 0:
-                continue
-            base_c = lg[c + 1]
-            wp += c * lp - base_c
-            wq += c * lq - base_c
-        accept_logs_p.append(wp)
-        accept_logs_q.append(wq)
-
-    _recurse([], total, 0)
-    log_accept_p = float(logsumexp(accept_logs_p)) if accept_logs_p else -np.inf
-    log_accept_q = float(logsumexp(accept_logs_q)) if accept_logs_q else -np.inf
+    counts = np.arange(total + 1)[:, None]
+    ok_x = rule.symbol_ok(counts, total, rule.p_x.probs).T.tolist()
+    ok_y = rule.symbol_ok(counts, total, rule.p_y.probs).T
+    # The only count of a one-symbol alphabet is N, and it is typical.
+    reject_empty = all(len(ok) == 1 or np.all(ok) for ok in (ok_x, ok_y))
     n = float(config.n)
-    return _exact_report(config, (log_accept_p, log_accept_q), (n, n), not rejected_any)
+    if not (np.any(ok_x, axis=1).all() and ok_y.any(axis=1).all()):
+        return _exact_report(config, (-np.inf, -np.inf), (n, n), reject_empty)
+    lows = [row.index(True) for row in ok_x]
+    tops = [total - row[::-1].index(True) for row in ok_x]
+    shape = tuple(int(np.nonzero(row)[0][-1]) + 1 for row in ok_y[:-1])
+
+    tables, prefixes = tops[-1] + 1, 1
+    for row, top in zip(ok_x[:-1], tops[:-1]):
+        tables += prefixes * (top + 1)
+        prefixes *= sum(row)
+    work = tables * math.prod(shape)
+    if work > DEFAULT_CELL_BUDGET:
+        raise TooLarge(
+            f"about {work} y-count table cells to update at N={total} exceeds "
+            f"the cell budget {DEFAULT_CELL_BUDGET}; use the Monte Carlo method"
+        )
+
+    with np.errstate(divide="ignore"):
+        log_joint = np.log(np.stack((p.probs, q.probs)))
+    ones = (1,) * len(shape)
+    log_rows = [[log_joint[:, i, j].reshape((2,) + ones) for j in range(ny)] for i in range(nx)]
+
+    # The y-box at the horizon is the backward table for m = 0.
+    in_box = np.ones(shape, dtype=bool)
+    y_sum = np.zeros(shape, dtype=np.int64)
+    for j, size in enumerate(shape):
+        v = np.arange(size).reshape(tuple(size if a == j else 1 for a in range(len(shape))))
+        in_box = in_box & ok_y[j][v]
+        y_sum = y_sum + v
+    last = total - y_sum
+    in_box &= (last >= 0) & ok_y[-1][np.maximum(last, 0)]
+    back = np.broadcast_to(np.where(in_box, 0.0, -np.inf), (2,) + shape)
+    backs = {}  # only the last-row counts that some typical a can leave
+    first = total - sum(tops[:-1])
+    for m in range(min(tops[-1], total - sum(lows[:-1])) + 1):
+        if m:
+            back = _log_step(back, log_rows[-1], forward=False)
+        if m >= first and ok_x[-1][m]:
+            backs[m] = back.reshape(2, -1)
+
+    lg = gammaln(np.arange(total + 2)).tolist()
+    leaves = []
+
+    def descend(i: int, table: np.ndarray, used: int, log_coef: float):
+        if i == nx - 1:
+            a = total - used
+            if a in backs:
+                dot = _logsumexp_rows(table.reshape(2, -1) + backs[a])
+                leaves.append(dot + (log_coef - lg[a + 1]))
+            return
+        rest = total - used
+        floor, ceiling = sum(lows[i + 1 :]), sum(tops[i + 1 :])
+        for a in range(min(tops[i], rest - floor) + 1):
+            if a:
+                table = _log_step(table, log_rows[i], forward=True)
+            if ok_x[i][a] and rest - a <= ceiling:
+                descend(i + 1, table, used + a, log_coef - lg[a + 1])
+
+    start = np.full((2,) + shape, -np.inf)
+    start[(slice(None),) + (0,) * len(shape)] = 0.0
+    descend(0, start, 0, lg[total + 1])
+    log_accepts = _logsumexp_rows(np.array(leaves).T).tolist() if leaves else [-np.inf, -np.inf]
+    return _exact_report(config, tuple(log_accepts), (n, n), reject_empty)
 
 
 def exact_errors(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorReport:
@@ -436,15 +504,17 @@ def exact_errors(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorRepor
 
     Binary pairs go through ``_exact_binary`` under either policy, at any
     horizon: O(N^2) work for early-decide, O(window * N) for the fixed
-    horizon. Other alphabets enumerate joint types, O(N^(cells-1)), under the
-    cell budget, and only with a fixed horizon; early-decide on them raises
-    ``TooLarge`` (use Monte Carlo).
+    horizon. Other alphabets go through ``_exact_general``, with a fixed
+    horizon only: one y-count table per typical x-count prefix, each of
+    about prod(window top + 1) cells over all but one y symbol, under the
+    cell budget (3x3 at N = 60 is about 10^6 cells). Past the budget, and
+    for early-decide on them, it raises ``TooLarge`` (use Monte Carlo).
     """
     _check_instance(config, p, q)
     if p.probs.shape == (2, 2):
         return _exact_binary(config, p, q)
     if config.policy_kind is PolicyKind.FIXED_HORIZON:
-        return _exact_fixed_general(config, p, q)
+        return _exact_general(config, p, q)
     raise TooLarge(
         "early-decide exact evaluation supports binary alphabets only; "
         "use the Monte Carlo method"

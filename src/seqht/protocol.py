@@ -15,8 +15,8 @@ same acceptance region; the fixed-horizon policy always decides at round n,
 while the early-decide policy may reject sooner on a widened margin.
 
 Every verdict depends on the observations only through their empirical types,
-which is what makes exact error evaluation by type enumeration possible; see
-the evaluation module.
+and indeed only through their marginal counts, which is what makes exact
+error evaluation over counts possible; see the evaluation module.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from _bruteforce import enumerate_errors
-from _oracles import convolution_log_accept, early_binary_outcome
+from _oracles import convolution_log_accept, early_binary_outcome, joint_type_enumeration
 from seqht import (
     CONTINUE,
     EncoderKind,
@@ -47,7 +47,7 @@ from seqht.harness import (
     _binary_log_accept,
     _binom_logpmf,
     _exact_binary,
-    _exact_fixed_general,
+    _exact_general,
     _logsumexp,
 )
 from seqht.protocol import _DecisionRule
@@ -165,10 +165,63 @@ def test_general_enumeration_matches_binary_fast_path():
         q = _random_joint(rng)
         config = ProtocolConfig(k=3, n=4, eta=eta)
         fast = _exact_binary(config, p, q)
-        slow = _exact_fixed_general(config, p, q)
-        assert abs(fast.alpha - slow.alpha) <= 1e-12
-        assert abs(fast.beta - slow.beta) <= 1e-12
-        assert math.isclose(fast.log_beta, slow.log_beta, rel_tol=1e-10)
+        for slow in (joint_type_enumeration(config, p, q), _exact_general(config, p, q)):
+            assert abs(fast.alpha - slow.alpha) <= 1e-12
+            assert abs(fast.beta - slow.beta) <= 1e-12
+            assert math.isclose(fast.log_beta, slow.log_beta, rel_tol=1e-10)
+
+
+def _assert_matches_enumeration(config, p, q):
+    report = _exact_general(config, p, q)
+    oracle = joint_type_enumeration(config, p, q)
+    assert abs(report.alpha - oracle.alpha) <= 1e-12
+    assert abs(report.beta - oracle.beta) <= 1e-12
+    if oracle.log_beta == -math.inf:
+        assert report.log_beta == -math.inf
+    else:
+        assert math.isclose(report.log_beta, oracle.log_beta, rel_tol=1e-10)
+    assert report.e_t_h0 == report.e_t_h1 == config.n
+    return report
+
+
+def test_marginal_counts_match_joint_type_enumeration():
+    rng = np.random.default_rng(808)
+    # (shape, largest N): the oracle scores C(N + cells - 1, cells - 1) types.
+    for shape, top in (((2, 3), 20), ((3, 2), 20), ((3, 3), 12), ((4, 2), 14)):
+        for case in range(8):
+            rows, cols = shape
+            p = _random_joint(rng, rows, cols, floor=float(rng.choice([0.0, 0.02])))
+            q = _random_joint(rng, rows, cols)
+            if case == 1:  # a zero cell
+                raw = p.probs.copy()
+                raw.flat[2] = 0.0
+                p = JointPmf.from_probs(raw / raw.sum())
+            if case == 2:  # a zero row in each measure
+                raw_p, raw_q = p.probs.copy(), q.probs.copy()
+                raw_p[1], raw_q[0] = 0.0, 0.0
+                p, q = JointPmf.from_probs(raw_p / raw_p.sum()), JointPmf.from_probs(raw_q / raw_q.sum())
+            k = int(rng.integers(1, 5))
+            n = int(rng.integers(1, top // k + 1))
+            config = ProtocolConfig(k=k, n=n, eta=float(rng.uniform(0.05, 0.45)))
+            _assert_matches_enumeration(config, p, q)
+
+
+def test_marginal_counts_on_the_margin_and_past_it():
+    # x-count 6 of 8 and y-count 2 of 8 are exactly 0.25 off the marginals
+    # (0.5, 0.25, 0.25) of this 3x3 null: typical on raw counts.
+    edge = JointPmf.from_probs([[0.3, 0.1, 0.1], [0.1, 0.1, 0.05], [0.1, 0.05, 0.1]])
+    far = JointPmf.from_probs([[0.1, 0.2, 0.1], [0.05, 0.1, 0.2], [0.1, 0.05, 0.1]])
+    _assert_matches_enumeration(ProtocolConfig(k=2, n=4, eta=0.25), edge, far)
+    # The (2, 3, 1)/6 count of the 3x2 inline-enumeration test.
+    half = JointPmf.from_probs([[0.25, 0.25], [0.125, 0.125], [0.125, 0.125]])
+    skew = JointPmf.from_probs([[0.1, 0.2], [0.3, 0.1], [0.1, 0.2]])
+    _assert_matches_enumeration(ProtocolConfig(k=2, n=3, eta=0.25), half, skew)
+    # eta >= 1 rejects nothing, so the errors are pinned, not summed: at
+    # N = 6 the sums themselves miss 0 and 1 by a few ulps.
+    for eta in (1.0, 1.3):
+        for p, q in ((edge, far), (half, skew)):
+            report = _assert_matches_enumeration(ProtocolConfig(k=2, n=3, eta=eta), p, q)
+            assert report.alpha == 0.0 and report.beta == 1.0
 
 
 def _oracle_instances():
@@ -362,6 +415,32 @@ def test_joint_type_budget_guard():
     config = ProtocolConfig(k=10, n=80, eta=0.1)
     with pytest.raises(TooLarge):
         exact_errors(config, three, three)
+
+
+def test_budget_guard_raises_before_any_table(monkeypatch):
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a y-count table was built")
+
+    monkeypatch.setattr("seqht.harness._log_step", no_tables)
+    three = JointPmf.from_probs(np.full((3, 3), 1.0 / 9.0))
+    for eta in (0.1, 0.05):
+        with pytest.raises(TooLarge, match="Monte Carlo"):
+            exact_errors(ProtocolConfig(k=10, n=80, eta=eta), three, three)
+
+
+def test_three_by_three_exact_at_sixty_samples_matches_monte_carlo():
+    p = JointPmf.from_probs([[0.30, 0.05, 0.05], [0.05, 0.20, 0.05], [0.05, 0.05, 0.20]])
+    q = JointPmf.from_probs(np.full((3, 3), 1.0 / 9.0))
+    n = 30
+    config = ProtocolConfig(k=2, n=n, eta=0.2)
+    exact = exact_errors(config, p, q)
+    trials = 20_000
+    mc = monte_carlo_errors(config, p, q, trials=trials, seed=3)
+    assert 0.0 < exact.alpha < 0.01 and 0.9 < exact.beta < 1.0
+    assert _inside_wilson(exact.alpha, mc.alpha, trials)
+    assert _inside_wilson(exact.beta, mc.beta, trials)
+    assert _inside_wilson(exact.e_t_h0 / n, mc.e_t_h0 / n, trials)
+    assert _inside_wilson(exact.e_t_h1 / n, mc.e_t_h1 / n, trials)
 
 
 def test_shape_mismatch_rejected():
