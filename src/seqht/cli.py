@@ -22,12 +22,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .errors import InvalidConfig, NotStrictlyPositive, SeqHTError, TooLarge
-from .exponent import (
-    SolverOptions,
-    chernoff_stein_baseline,
-    grid_oracle_exponent,
-    solve_exponent,
-)
+from .exponent import SolverOptions, grid_oracle_exponent, solve_exponent
 from .harness import (
     ERROR_CSV_HEADER,
     FIT_CSV_HEADER,
@@ -41,7 +36,7 @@ from .harness import (
     verify_acceptance_bound,
     verify_wald_identity,
 )
-from .prob import JointPmf, Pmf, marginals
+from .prob import JointPmf, Pmf, kl_divergence, marginals
 from .protocol import ProtocolConfig, default_eta
 
 EXIT_OK = 0
@@ -86,7 +81,11 @@ def _number_field(section: Mapping[str, Any], key: str, default: Any = None) -> 
 def _parse_joint(raw: Mapping[str, Any], key: str) -> JointPmf:
     if key not in raw:
         raise InvalidConfig(f"config is missing the {key} matrix")
-    return JointPmf.from_probs(raw[key])
+    rows = raw[key]
+    shaped = isinstance(rows, list) and all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)
+    if not shaped or any(isinstance(v, bool) or not isinstance(v, (int, float)) for r in rows for v in r):
+        raise InvalidConfig(f"'{key}' must be a list of equal-length lists of numbers, got {rows!r}")
+    return JointPmf.from_probs(rows)
 
 
 def _parse_protocol(raw: Mapping[str, Any]) -> ProtocolConfig:
@@ -143,22 +142,16 @@ def cmd_exponent(args) -> int:
         tolerance=_number_field(raw, "tolerance", 1e-10),
         max_iterations=_int_field(raw, "max_iterations", 100_000),
     )
-    section = raw.get("protocol")
-    epsilon = (
-        _number_field(section, "epsilon")
-        if isinstance(section, Mapping) and section.get("epsilon") is not None
-        else None
-    )
-    result = solve_exponent(p, q, opts, epsilon=epsilon)
+    result = solve_exponent(p, q, opts)
 
     oracle = ""
     if p.probs.shape == (2, 2):
         oracle = format_float(grid_oracle_exponent(p, q, _number_field(raw, "grid_step", 1e-5)))
     p_x, p_y = marginals(p)
     q_x, q_y = marginals(q)
-    baseline_x = chernoff_stein_baseline(p_x, q_x)
-    baseline_y = chernoff_stein_baseline(p_y, q_y)
-    baseline_joint = chernoff_stein_baseline(
+    baseline_x = kl_divergence(p_x, q_x)
+    baseline_y = kl_divergence(p_y, q_y)
+    baseline_joint = kl_divergence(
         Pmf.from_probs(p.probs.ravel()), Pmf.from_probs(q.probs.ravel())
     )
 
@@ -287,7 +280,9 @@ def _acceptance_bound_suite(rng: np.random.Generator, horizon: int, cases: int):
 
 def cmd_verify(args) -> int:
     raw = _load_json(args.config) if args.config else {}
-    section = raw.get("verify", {}) if isinstance(raw.get("verify", {}), Mapping) else {}
+    section = raw.get("verify", {})
+    if not isinstance(section, Mapping):
+        raise InvalidConfig(f"the 'verify' section must be a JSON object, got {section!r}")
     wald_horizon = _int_field(section, "wald_horizon", 8)
     set_bound_horizon = _int_field(section, "set_bound_horizon", 6)
     cases = _int_field(section, "cases", 20)

@@ -24,7 +24,7 @@ from .errors import (
     NotStrictlyPositive,
     UnsupportedAlphabetSize,
 )
-from .prob import JointPmf, Pmf, kl_divergence, marginals
+from .prob import JointPmf, kl_divergence
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,6 @@ def _check_joint_pair(p: JointPmf, q: JointPmf):
         )
 
 
-def _validate_epsilon(epsilon):
-    if epsilon is not None and not (0.0 < epsilon < 1.0):
-        raise InvalidConfig(f"epsilon must lie in (0, 1), got {epsilon}")
-
-
 def _ipf_sweeps(p: JointPmf, q: JointPmf):
     """Endless IPF sweeps from q toward p's marginals.
 
@@ -99,22 +94,8 @@ def _ipf_sweeps(p: JointPmf, q: JointPmf):
         yield m, rows, cols
 
 
-def ipf_iterates(p: JointPmf, q: JointPmf, sweeps: int):
-    """First ``sweeps`` marginal-fitting iterates, for diagnostics and tests.
-
-    Starting from the reference joint itself, returned matrices are the raw
-    (unnormalized-by-construction, but mass-preserving) iterates after each
-    full row-then-column sweep.
-    """
-    _check_joint_pair(p, q)
-    return [m for m, _, _ in islice(_ipf_sweeps(p, q), sweeps)]
-
-
 def solve_exponent(
-    p: JointPmf,
-    q: JointPmf,
-    opts: SolverOptions | None = None,
-    epsilon: float | None = None,
+    p: JointPmf, q: JointPmf, opts: SolverOptions | None = None
 ) -> ExponentResult:
     """Minimize D(M || q) over joints M sharing both marginals with p.
 
@@ -124,12 +105,10 @@ def solve_exponent(
     best iterate is returned with ``converged=False`` rather than raising, so
     callers can inspect the residual.
 
-    ``epsilon``, when given, is the type-I error budget of the sequential
-    protocol this exponent describes; it is validated to lie in (0, 1) but
-    does not enter the computation (the exponent is constant in it).
+    No type-I budget epsilon enters: the optimal exponent is the same for
+    every epsilon in (0, 1).
     """
     _check_joint_pair(p, q)
-    _validate_epsilon(epsilon)
     if opts is None:
         opts = SolverOptions()
 
@@ -264,26 +243,3 @@ def relaxed_exponent_oracle(
         d = _binary_coupling_divergences(t, uu[:, None], vs[:, None], q_cells)
         best = min(best, float(d.min()))
     return best
-
-
-def chernoff_stein_baseline(p: Pmf, q: Pmf) -> float:
-    """Centralized full-observation benchmark: plain relative entropy D(p || q)."""
-    return kl_divergence(p, q)
-
-
-def feasible_joint_divergence(p: JointPmf, q: JointPmf, coupling: JointPmf) -> float:
-    """D(coupling || q) after checking the coupling shares p's marginals.
-
-    Convenience for optimality-certificate checks: any feasible coupling must
-    score at least the solved exponent.
-    """
-    _check_joint_pair(p, q)
-    cx, cy = marginals(coupling)
-    tx, ty = marginals(p)
-    gap = max(
-        float(np.max(np.abs(cx.probs - tx.probs))),
-        float(np.max(np.abs(cy.probs - ty.probs))),
-    )
-    if gap > 1e-6:
-        raise InvalidConfig(f"coupling marginals off target by {gap}")
-    return kl_divergence(coupling, q)

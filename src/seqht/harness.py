@@ -651,6 +651,34 @@ def _composite_pair(
     return pv, qv
 
 
+def _stopped_paths(pv: np.ndarray, qv: np.ndarray, stopping_rule: StoppingRule, horizon: int):
+    """Yield (T, P-probability, log-likelihood ratio) of each stopped path of positive P-mass.
+
+    Breadth first over the prefixes of the iid process; a path stops where
+    the rule fires on it or at the horizon. Paths come in the same order on
+    every call, so sums over them are reproducible to the bit.
+    """
+    log_ratio = np.where(pv > 0, np.log(np.maximum(pv, 1e-300) / qv), 0.0)
+    # Python floats give the same IEEE products and sums as numpy scalars,
+    # at a fraction of the cost per operation.
+    steps = list(enumerate(zip(pv.tolist(), log_ratio.tolist())))
+    # (prefix, P-probability, accumulated log-likelihood ratio)
+    active: list[tuple[tuple[int, ...], float, float]] = [((), 1.0, 0.0)]
+    for t in range(1, horizon + 1):
+        nxt: list[tuple[tuple[int, ...], float, float]] = []
+        for prefix, pp, llr in active:
+            for z, (pz, ratio) in steps:
+                pp2 = pp * pz
+                if pp2 == 0.0:
+                    continue
+                prefix2 = prefix + (z,)
+                if t == horizon or stopping_rule(prefix2):
+                    yield t, pp2, llr + ratio
+                else:
+                    nxt.append((prefix2, pp2, llr + ratio))
+        active = nxt
+
+
 def verify_wald_identity(
     p: Pmf | JointPmf,
     q: Pmf | JointPmf,
@@ -665,30 +693,10 @@ def verify_wald_identity(
     a telescoping sum whose expectation the identity pins to E[T] * D.
     """
     pv, qv = _composite_pair(p, q, horizon_cap)
-
-    log_ratio = np.where(pv > 0, np.log(np.maximum(pv, 1e-300) / qv), 0.0)
-    # Python floats give the same IEEE products and sums as numpy scalars,
-    # at a fraction of the cost per operation.
-    steps = list(zip(pv.tolist(), log_ratio.tolist()))
-    lhs = 0.0
-    e_t = 0.0
-    # (prefix, P-probability, accumulated log-likelihood ratio)
-    active: list[tuple[tuple[int, ...], float, float]] = [((), 1.0, 0.0)]
-    for t in range(1, horizon_cap + 1):
-        nxt: list[tuple[tuple[int, ...], float, float]] = []
-        for prefix, pp, llr in active:
-            for z, (pz, ratio) in enumerate(steps):
-                pp2 = pp * pz
-                if pp2 == 0.0:
-                    continue
-                prefix2 = prefix + (z,)
-                llr2 = llr + ratio
-                if t == horizon_cap or stopping_rule(prefix2):
-                    e_t += t * pp2
-                    lhs += pp2 * llr2
-                else:
-                    nxt.append((prefix2, pp2, llr2))
-        active = nxt
+    lhs = e_t = 0.0
+    for t, pp, llr in _stopped_paths(pv, qv, stopping_rule, horizon_cap):
+        e_t += t * pp
+        lhs += pp * llr
     per_sample = kl_divergence(Pmf.from_probs(pv), Pmf.from_probs(qv))
     return WaldReport(
         lhs=lhs,
@@ -727,18 +735,8 @@ def verify_acceptance_bound(
             raise InvalidConfig(f"stopping law sums to {total!r}")
     else:
         law = {}
-        active: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
-        for t in range(1, horizon_cap + 1):
-            nxt: list[tuple[tuple[int, ...], float]] = []
-            for prefix, pp in active:
-                for z, pz in enumerate(p_list):
-                    pp2 = pp * pz
-                    prefix2 = prefix + (z,)
-                    if t == horizon_cap or stopping(prefix2):
-                        law[t] = law.get(t, 0.0) + pp2
-                    else:
-                        nxt.append((prefix2, pp2))
-            active = nxt
+        for t, pp, _ in _stopped_paths(pv, qv, stopping, horizon_cap):
+            law[t] = law.get(t, 0.0) + pp
 
     def _set_mass(seqs: Sequence[tuple[int, ...]], probs: list[float], t: int) -> float:
         mass = 0.0

@@ -1,8 +1,8 @@
 """Exact finite-alphabet probability primitives.
 
-Pmfs, joint pmfs, empirical types, divergences, and log-domain multinomial
-weights. Everything here is immutable after construction and pure, so values
-can be shared freely across concurrent tasks.
+Pmfs, joint pmfs, empirical types, divergences and type counts. Everything
+here is immutable after construction and pure, so values can be shared
+freely across concurrent tasks.
 
 Conventions: all divergences are in nats; 0*ln(0) = 0 cell-wise; products of
 many probabilities are only ever formed in log domain.
@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     AlphabetMismatch,
@@ -29,28 +28,16 @@ from .errors import (
 # Tolerates config-file rounding without masking genuine errors.
 NORMALIZATION_SLACK = 1e-9
 
-# Post-construction invariant on stored probabilities.
-SUM_TOLERANCE = 1e-12
-
 
 @dataclass(frozen=True)
 class Alphabet:
     """Finite symbol alphabet; symbols are the indices 0..size-1."""
 
     size: int
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.size < 1:
             raise InvalidDistribution(f"alphabet size must be >= 1, got {self.size}")
-        labels = tuple(self.labels) if self.labels else tuple(str(i) for i in range(self.size))
-        if len(labels) != self.size:
-            raise InvalidDistribution(
-                f"expected {self.size} labels, got {len(labels)}"
-            )
-        if len(set(labels)) != len(labels):
-            raise InvalidDistribution("alphabet labels must be distinct")
-        object.__setattr__(self, "labels", labels)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -118,9 +105,9 @@ class Pmf(_ArrayValue):
         return (self.alphabet,), self.probs
 
     @classmethod
-    def from_probs(cls, probs, labels: Sequence[str] = ()) -> "Pmf":
+    def from_probs(cls, probs) -> "Pmf":
         a = np.asarray(probs, dtype=np.float64)
-        return cls(Alphabet(a.shape[0], tuple(labels)), a)
+        return cls(Alphabet(a.shape[0]), a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,36 +287,6 @@ def linf_distance(t: EmpiricalType | Pmf | JointPmf, p: Pmf | JointPmf) -> float
     f = t.frequencies() if isinstance(t, EmpiricalType) else t
     _require_same_alphabet(f, p)
     return float(np.max(np.abs(f.probs - p.probs)))
-
-
-def log_multinomial_weight(t: EmpiricalType, p: Pmf | JointPmf) -> float:
-    """Log-probability of observing counts t under iid draws from p.
-
-    log multinomial(total; counts) + sum(counts * ln p), computed entirely in
-    log domain so totals in the thousands do not underflow. Exponentiating
-    and summing over all types of a given total yields 1.
-    """
-    f = t.frequencies()
-    _require_same_alphabet(f, p)
-    c = t.counts.ravel().astype(np.float64)
-    pp = p.probs.ravel()
-    mask = c > 0
-    if np.any(pp[mask] <= 0.0):
-        raise UnsupportedMass("counts have support where p = 0")
-    log_coeff = float(gammaln(t.total + 1) - gammaln(c + 1).sum())
-    return log_coeff + float(np.sum(c[mask] * np.log(pp[mask])))
-
-
-def iter_count_vectors(total: int, cells: int) -> Iterator[tuple[int, ...]]:
-    """Yield every nonnegative integer vector of the given length summing to total."""
-    if cells < 1:
-        raise InvalidDistribution("need at least one cell")
-    if cells == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in iter_count_vectors(total - first, cells - 1):
-            yield (first,) + rest
 
 
 def count_type_vectors(total: int, cells: int) -> int:

@@ -43,7 +43,6 @@ from .prob import (
     Pmf,
     _symbols,
     _tally,
-    count_type_vectors,
     empirical_type,
     marginals,
 )
@@ -89,16 +88,22 @@ class ProtocolConfig:
     epsilon: float = 0.05
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InvalidConfig(f"k must be a positive integer, got {self.k}")
-        if self.n < 1:
-            raise InvalidConfig(f"n must be a positive integer, got {self.n}")
+        for name in ("k", "n"):
+            value = getattr(self, name)
+            # A bool is an Integral, but True is not a count.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise InvalidConfig(f"{name} must be a positive integer, got {value!r}")
         if not (self.eta > 0):
             raise InvalidConfig(f"eta must be > 0, got {self.eta}")
         if not (0.0 < self.epsilon < 1.0):
             raise InvalidConfig(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        object.__setattr__(self, "encoder_kind", EncoderKind(self.encoder_kind))
-        object.__setattr__(self, "policy_kind", PolicyKind(self.policy_kind))
+        for name, kind in (("encoder_kind", EncoderKind), ("policy_kind", PolicyKind)):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, kind(value))
+            except ValueError:
+                allowed = ", ".join(repr(m.value) for m in kind)
+                raise InvalidConfig(f"{name} must be one of {allowed}, got {value!r}") from None
 
     @property
     def total_samples(self) -> int:
@@ -129,21 +134,6 @@ def default_eta(n: int, k: int) -> float:
     if total < 2:
         return 1.0
     return max(0.05, 2.0 * math.sqrt(math.log(total) / total))
-
-
-def message_rate(config: ProtocolConfig, t: int, alphabet_size: int) -> float:
-    """Bits-per-sample cost (1/k) * ln |message set| at round t.
-
-    Counts distinct payloads actually in use: 2 for the one-bit encoder, the
-    number of length-t*k types for the full-type encoder. Polynomial message
-    counts make this vanish as k grows, which is the zero-rate regime this
-    protocol lives in.
-    """
-    if t < 1:
-        raise InvalidConfig(f"round index must be >= 1, got {t}")
-    if config.encoder_kind is EncoderKind.ONE_BIT:
-        return math.log(2.0) / config.k
-    return math.log(count_type_vectors(t * config.k, alphabet_size)) / config.k
 
 
 @dataclass(frozen=True)
@@ -217,11 +207,6 @@ class Trace:
             raise InvalidConfig("verdicts must be CONTINUE until the final decision")
         if len(self.x_seq) != len(self.y_seq):
             raise LengthMismatch("x and y observation records must have equal length")
-
-
-def trace_record(trace: Trace, source: SourceModel) -> str:
-    """One-line text record of a run: seed, hypothesis, T, decision."""
-    return f"{source.rng_seed},{source.hypothesis.value},{trace.stopping_time},{trace.decision}"
 
 
 def _blocked_length(config: ProtocolConfig, length: int) -> int:

@@ -12,6 +12,9 @@ samples at most).
 ``joint_type_enumeration`` is the fixed-horizon report of any pair of
 alphabets by scoring every joint type, O(N^(cells-1)) of them; the tests use
 it up to N = 20 (12 on 3x3, about 10^5 types).
+
+``feasible_joint_divergence`` scores a coupling that shares the null's
+marginals; any such coupling must score at least the solved exponent.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 from scipy.stats import binom
 
+from seqht.errors import InvalidConfig
+from seqht.exponent import _check_joint_pair
 from seqht.harness import ErrorReport, _binom_logpmf, _exact_report
-from seqht.prob import JointPmf, marginals
+from seqht.prob import JointPmf, kl_divergence, marginals
 from seqht.protocol import ProtocolConfig, _DecisionRule
 
 
@@ -168,3 +173,17 @@ def joint_type_enumeration(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> 
     log_accept_q = float(logsumexp(accept_logs_q)) if accept_logs_q else -np.inf
     n = float(config.n)
     return _exact_report(config, (log_accept_p, log_accept_q), (n, n), not rejected_any)
+
+
+def feasible_joint_divergence(p: JointPmf, q: JointPmf, coupling: JointPmf) -> float:
+    """D(coupling || q) after checking the coupling shares p's marginals."""
+    _check_joint_pair(p, q)
+    cx, cy = marginals(coupling)
+    tx, ty = marginals(p)
+    gap = max(
+        float(np.max(np.abs(cx.probs - tx.probs))),
+        float(np.max(np.abs(cy.probs - ty.probs))),
+    )
+    if gap > 1e-6:
+        raise InvalidConfig(f"coupling marginals off target by {gap}")
+    return kl_divergence(coupling, q)

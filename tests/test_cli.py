@@ -364,9 +364,14 @@ SIM = {"P_XY": PRODUCT_P, "Q_XY": UNIFORM}
         ("exponent", {**SIM, "tolerance": "abc"}, "tolerance"),
         ("exponent", {**SIM, "max_iterations": 2.5}, "max_iterations"),
         ("exponent", {**SIM, "grid_step": [1e-5]}, "grid_step"),
-        ("exponent", {**SIM, "protocol": {"epsilon": "0.05"}}, "epsilon"),
+        ("exponent", {**SIM, "P_XY": "abc"}, "P_XY"),
         ("fit", {**SIM, "protocol": {"k": 2, "n": 50}, "N_grid": [100, 200, 300, "400"]}, "N_grid"),
         ("verify", {"verify": {"cases": "3"}}, "cases"),
+        ("exponent", {**SIM, "Q_XY": [["0.25", 0.25], [0.25, 0.25]]}, "Q_XY"),
+        ("simulate", {**SIM, "Q_XY": [[0.5, 0.5], [0.0]], "protocol": {"k": 2, "n": 5}}, "Q_XY"),
+        ("simulate", {**SIM, "protocol": {"k": 2, "n": 5, "encoder_kind": "bogus"}}, "encoder_kind"),
+        ("simulate", {**SIM, "protocol": {"k": 2, "n": 5, "policy_kind": 5}}, "policy_kind"),
+        ("verify", {"verify": [1, 2]}, "verify"),
     ],
 )
 def test_bad_scalar_field_is_a_validation_error(tmp_path, capsys, command, body, field):

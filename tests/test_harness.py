@@ -24,7 +24,6 @@ from seqht import (
     PolicyKind,
     ProtocolConfig,
     TooLarge,
-    chernoff_stein_baseline,
     decide,
     default_eta,
     encode,
@@ -759,9 +758,3 @@ def test_format_float_round_trips():
     for value in (0.1, 1.0 / 3.0, 1e-300, 0.25, 123456.789, 6.5e-290):
         assert float(format_float(value)) == value
     assert format_float(0.25) == "0.25"
-
-
-def test_baseline_is_marginal_divergence():
-    p_x, _ = marginals(CORRELATED)
-    q_x, _ = marginals(UNIFORM)
-    assert chernoff_stein_baseline(p_x, q_x) == kl_divergence(p_x, q_x)

@@ -29,10 +29,8 @@ from seqht import (
     empirical_type,
     encode,
     marginals,
-    message_rate,
     run_protocol,
     simulate_batch,
-    trace_record,
 )
 import seqht.protocol
 from seqht.rng import (
@@ -62,6 +60,18 @@ def test_config_validation():
         ProtocolConfig(k=1, n=1, eta=0.0)
     with pytest.raises(InvalidConfig):
         ProtocolConfig(k=1, n=1, eta=0.5, epsilon=1.0)
+    # k and n are integers: a fraction or a bool is not a count
+    for bad in (2.5, 2.0, True, "2"):
+        with pytest.raises(InvalidConfig, match="k must be a positive integer"):
+            ProtocolConfig(k=bad, n=3, eta=0.1)
+        with pytest.raises(InvalidConfig, match="n must be a positive integer"):
+            ProtocolConfig(k=1, n=bad, eta=0.1)
+    assert ProtocolConfig(k=np.int64(2), n=3, eta=0.1).total_samples == 6
+    # unknown kinds name the field and its allowed values
+    with pytest.raises(InvalidConfig, match="encoder_kind must be one of 'one_bit', 'full_type'"):
+        ProtocolConfig(k=1, n=1, eta=0.5, encoder_kind="bogus")
+    with pytest.raises(InvalidConfig, match="policy_kind must be one of 'fixed_horizon', 'early_decide'"):
+        ProtocolConfig(k=1, n=1, eta=0.5, policy_kind=5)
     # eta above 1 is allowed: the margin then covers every type
     cfg = ProtocolConfig(k=1, n=1, eta=1.0)
     assert cfg.total_samples == 1
@@ -74,18 +84,6 @@ def test_config_validation():
 def test_default_eta_schedule():
     assert default_eta(100, 1) == pytest.approx(max(0.05, 2 * math.sqrt(math.log(100) / 100)))
     assert default_eta(10_000, 10) == 0.05  # floor kicks in for large budgets
-
-
-def test_message_rate_vanishes_with_block_size():
-    # zero-rate check: (1/k) ln |message set| at fixed t shrinks toward 0
-    rates = [
-        message_rate(one_bit_config(k=k, encoder_kind="full_type"), 2, 2)
-        for k in (10, 100, 1000)
-    ]
-    assert rates[0] > rates[1] > rates[2]
-    for k, rate in zip((10, 100, 1000), rates):
-        assert rate <= 2 * math.log(2 * k + 1) / k
-    assert message_rate(one_bit_config(k=8), 5, 2) == pytest.approx(math.log(2) / 8)
 
 
 def test_encode_one_bit_and_full_type():
@@ -314,14 +312,6 @@ def test_run_protocol_rounds_match_encode_and_decide_on_prefixes(encoder, policy
     assert {decision for _, decision in outcomes} == {ACCEPT, REJECT}
     if policy == "early_decide":
         assert any(1 < t < 150 for t, _ in outcomes)
-
-
-def test_trace_record_line():
-    cfg = one_bit_config(n=2, eta=0.5)
-    src = SourceModel(Hypothesis.H1, Q_UNIFORM, rng_seed=5)
-    trace = run_protocol(cfg, P_JOINT, src)
-    line = trace_record(trace, src)
-    assert line == f"5,H1,{trace.stopping_time},{trace.decision}"
 
 
 def test_trace_invariants_are_enforced():
