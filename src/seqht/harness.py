@@ -7,8 +7,9 @@ cross-checkable against each other:
 * exact, for binary pairs under both policies at any horizon, over marginal
   counts (every verdict depends on the joint type only through its
   marginals): the law of the y-count that reaches the horizon, then for each
-  typical y-count the x-window mass as a short sum of binomial tails. A fixed
-  horizon is the early-decide computation with no interim checks,
+  typical y-count the x-window mass as a short sum of binomial tails, with
+  the binomial log-pmfs read off log-factorial tables. A fixed horizon is
+  the early-decide computation with no interim checks,
 * exact, for other alphabets with a fixed horizon, also over marginal
   counts: for each typical x-count vector, the mass of the y-count vectors
   that land in the typical box, from log-domain y-count tables,
@@ -23,9 +24,10 @@ smallest positive double, so reports carry log-probabilities alongside the
 (possibly underflowed) linear values.
 
 Also here: empirical exponent extraction by least squares over a grid of
-sample budgets, and exact small-horizon verifiers for the two identities the
-exponent analysis rests on (an optional-stopping divergence identity and a
-stopped-set log-probability bound).
+sample budgets, which evaluates the alternative only (the one measure that
+-ln(beta) reads), and exact small-horizon verifiers for the two identities
+the exponent analysis rests on (an optional-stopping divergence identity and
+a stopped-set log-probability bound).
 """
 
 from __future__ import annotations
@@ -63,6 +65,9 @@ DEFAULT_CELL_BUDGET = 20_000_000
 _MC_CHUNK = 16_384
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+
+# Most sequences the exact verifiers enumerate.
+_PATH_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -156,16 +161,17 @@ class AcceptanceBoundReport:
         return self.lhs <= self.bound_loose + 1e-12
 
 
-def wilson_halfwidth(p_hat: float, trials: int, z: float = _WILSON_Z) -> float:
+def wilson_halfwidth(p_hat: float, trials: int) -> float:
     """Half-width of the 95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
+    z = _WILSON_Z
     z2 = z * z
     half = z * math.sqrt(p_hat * (1.0 - p_hat) / trials + z2 / (4.0 * trials * trials))
     return half / (1.0 + z2 / trials)
 
 
-def _check_instance(config: ProtocolConfig, p: JointPmf, q: JointPmf):
+def _check_instance(p: JointPmf, q: JointPmf):
     if p.probs.shape != q.probs.shape:
         raise LengthMismatch(
             f"null shape {p.probs.shape} does not match alternative shape {q.probs.shape}"
@@ -182,10 +188,31 @@ def _binom_logpmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
     formula moves alpha by more than the 1e-12 that the committed reference
     values are checked to. For the same reason alpha stays the complement of
     the accept mass rather than a sum over the reject region.
+    ``_binom_rows`` is the same formula read from tables, for many n at one p.
     """
     k = np.asarray(k, dtype=np.float64)
     combiln = gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1))
     return combiln + xlogy(k, p) + xlog1py(n - k, -p)
+
+
+def _binom_rows(lg: np.ndarray, p: float) -> Callable[[int], np.ndarray]:
+    """``n -> _binom_logpmf(arange(n + 1), n, p)`` for n = 0..lg.size - 2.
+
+    ``lg`` is ``gammaln(arange(top + 2))``. The terms c * log(p) and
+    c * log1p(-p) are tabulated once for c = 0..top, each from a single
+    ``xlogy(1, p)`` / ``xlog1py(1, -p)``, with the c = 0 term 0 as xlogy and
+    xlog1py give it. A row is then ``_binom_logpmf``'s sum over slices of the
+    tables, term for term and in its order, so each value is the same double
+    at a fraction of the cost.
+    """
+    c = np.arange(1, lg.size - 1, dtype=np.float64)
+    hit = np.concatenate(([0.0], c * xlogy(1, p)))
+    miss = np.concatenate(([0.0], c * xlog1py(1, -p)))
+
+    def row(n: int) -> np.ndarray:
+        return lg[n + 1] - (lg[1 : n + 2] + lg[n + 1 : 0 : -1]) + hit[: n + 1] + miss[n::-1]
+
+    return row
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -207,14 +234,16 @@ def _log_sub(big: np.ndarray, small: np.ndarray) -> np.ndarray:
     return big + np.log1p(-np.exp(np.where(big > -np.inf, small - big, -np.inf)))
 
 
-def _log_window_masses(log_pmf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """log P(lo <= B <= hi) for each window, given B's log-pmf on 0..m.
+def _log_window_masses(log_pmf: np.ndarray, lo: int, hi: int, count: int) -> np.ndarray:
+    """log P(lo - b <= B <= hi - b) for b = 0..count, given B's log-pmf on 0..m.
 
-    Windows must lie inside 0..m; an empty window (lo > hi) has mass 0.
-    Each mass comes from the tail it is smallest in: a window below the mode
-    is a difference of left tails, one above it a difference of right tails,
-    and one holding the mode is the total less both tails. A difference of
-    the far tail would cancel and lose all digits deep in the tail.
+    Each window is clipped to 0..m, and an empty one has mass 0. Each mass
+    comes from the tail it is smallest in: a window above the mode is a
+    difference of right tails, one below it a difference of left tails, and
+    one holding the mode is the total less both tails. A difference of the
+    far tail would cancel and lose all digits deep in the tail. The windows
+    slide down as b grows, so the three kinds are three runs of b, and each
+    mass is computed in its own run only.
     """
     m = log_pmf.size - 1
     mode = int(np.argmax(log_pmf))
@@ -222,21 +251,34 @@ def _log_window_masses(log_pmf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> n
     # Relative to the peak, so the terms that dominate carry logs near 0 and
     # the log-domain running sums round them least.
     shifted = log_pmf - peak
-    empty = lo > hi
-    lo = np.minimum(lo, m + 1)
-    hi = np.maximum(hi, -1)
+    b = np.arange(count + 1)
+    low, high = np.maximum(lo - b, 0), np.minimum(hi - b, m)
+    # Non-empty windows: b in [first, end). Above the mode (lo - b > mode):
+    # [first, mid); holding it: [mid, cut); below it (hi - b < mode): [cut, end).
+    first = max(lo - m, 0)
+    end = max(min(hi, count) + 1, first)
+    mid = min(max(lo - mode, first), end)
+    cut = min(max(hi - mode + 1, mid), end)
+    out = np.full(count + 1, -np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         # below[j] = log P(B < j), above[j] = log P(B >= j), for j in 0..m+1.
-        below = np.concatenate(([-np.inf], np.logaddexp.accumulate(shifted)))
-        above = np.concatenate((np.logaddexp.accumulate(shifted[::-1])[::-1], [-np.inf]))
-        left = _log_sub(below[hi + 1], below[lo])
-        right = _log_sub(above[lo], above[hi + 1])
-        # The rounded terms need not sum to exactly 1, so take the window
-        # from their own total rather than from 1.
-        whole = _logsumexp(shifted)
-        middle = whole + np.log1p(-np.exp(below[lo] - whole) - np.exp(above[hi + 1] - whole))
-    out = np.where(hi < mode, left, np.where(lo > mode, right, middle)) + peak
-    return np.where(empty, -np.inf, out)
+        if mid < end:
+            below = np.concatenate(([-np.inf], np.logaddexp.accumulate(shifted)))
+        if first < cut:
+            above = np.concatenate((np.logaddexp.accumulate(shifted[::-1])[::-1], [-np.inf]))
+        if first < mid:
+            r = slice(first, mid)
+            out[r] = _log_sub(above[low[r]], above[high[r] + 1]) + peak
+        if mid < cut:
+            h = slice(mid, cut)
+            # The rounded terms need not sum to exactly 1, so take the window
+            # from their own total rather than from 1.
+            whole = _logsumexp(shifted)
+            out[h] = whole + np.log1p(-np.exp(below[low[h]] - whole) - np.exp(above[high[h] + 1] - whole)) + peak
+        if cut < end:
+            l = slice(cut, end)
+            out[l] = _log_sub(below[high[l] + 1], below[low[l]]) + peak
+    return out
 
 
 def _binary_log_accept(
@@ -254,7 +296,8 @@ def _binary_log_accept(
     B0 ~ Bin(a, s0) and B1 ~ Bin(total - a, s1), the conditional rates of
     ``joint``. For each typical a with mass this sums
     P(B0 = b0) * P(lo - b0 <= B1 <= hi - b0) over b0, with the window masses
-    read off two-sided log tails of B1 built once per a. Work is
+    read off two-sided log tails of B1 built once per a. Both log-pmfs are
+    slices of tables built once per call (``_binom_rows``). Work is
     O(window_rows * total).
 
     The column window is an interval [lo, hi]: each symbol's test holds on an
@@ -270,32 +313,20 @@ def _binary_log_accept(
     s0 = joint[0, 0] / rx0 if rx0 > 0 else 0.0
     s1 = joint[1, 0] / rx1 if rx1 > 0 else 0.0
 
+    lg = gammaln(np.arange(total + 2))
+    pmf0, pmf1 = _binom_rows(lg, s0), _binom_rows(lg, s1)
     per_a = np.empty(a_vals.size)
-    for i, a in enumerate(a_vals):
-        b0 = np.arange(a + 1)
-        rest = total - a
-        windows = _log_window_masses(
-            _binom_logpmf(np.arange(rest + 1), rest, s1),
-            np.maximum(lo - b0, 0),
-            np.minimum(hi - b0, rest),
-        )
-        per_a[i] = _logsumexp(_binom_logpmf(b0, a, s0) + windows)
+    for i, a in enumerate(a_vals.tolist()):
+        windows = _log_window_masses(pmf1(total - a), lo, hi, a)
+        per_a[i] = _logsumexp(pmf0(a) + windows)
     return _logsumexp(per_a + log_law[a_vals])
 
 
 def _exact_report(
-    config: ProtocolConfig,
-    log_accepts: tuple[float, float],
-    e_ts: tuple[float, float],
-    reject_empty: bool,
+    config: ProtocolConfig, log_accepts: Sequence[float], e_ts: Sequence[float]
 ) -> ErrorReport:
     """Report from the log accept mass and E[T] under (null, alternative)."""
     log_accept_p, log_accept_q = log_accepts
-    if reject_empty:
-        # Nothing is ever rejected (e.g. eta >= 1), so both hypotheses
-        # accept with probability exactly 1; bypass the log-domain sums,
-        # whose rounding would smear these endpoint values.
-        log_accept_p, log_accept_q = 0.0, 0.0
     # alpha = 1 - exp(log_accept_p), computed without cancellation.
     alpha = float(-np.expm1(log_accept_p)) if log_accept_p > -np.inf else 1.0
     alpha = min(max(alpha, 0.0), 1.0)
@@ -315,8 +346,18 @@ def _exact_report(
     )
 
 
-def _exact_binary(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorReport:
-    """Exact errors of a 2x2 pair under either policy, over marginal counts.
+def _pinned(log_accepts: list[float], reject_empty: bool) -> list[float]:
+    """The log accept masses, or exactly 0 for each when nothing is ever
+    rejected (e.g. eta >= 1): the log-domain sums would smear that endpoint
+    by their rounding."""
+    return [0.0] * len(log_accepts) if reject_empty else log_accepts
+
+
+def _exact_binary(
+    config: ProtocolConfig, p: JointPmf, measures: Sequence[JointPmf]
+) -> tuple[list[float], list[float]]:
+    """Log accept mass and E[T] of p's rule for a 2x2 pair under each measure,
+    under either policy, over marginal counts.
 
     Early rejects see only the count b of y = 0, and the verdict at the
     horizon only b and the count of x = 0. So, under each measure:
@@ -344,7 +385,7 @@ def _exact_binary(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorRepo
             for t, margin in enumerate(rule.reject_margins.tolist(), 1)
         ]
     log_accepts, e_ts = [], []
-    for joint in (p.probs, q.probs):
+    for joint in (m.probs for m in measures):
         ry0 = joint[0, 0] + joint[1, 0]
         e_t = float(n)
         if not rejects:
@@ -368,7 +409,7 @@ def _exact_binary(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorRepo
         log_accepts.append(_binary_log_accept(joint.T, law, y_mask, x_mask, total))
         e_ts.append(e_t)
     reject_empty = bool(x_mask.all() and y_mask.all()) and not any(r.any() for r in rejects)
-    return _exact_report(config, log_accepts, e_ts, reject_empty)
+    return _pinned(log_accepts, reject_empty), e_ts
 
 
 def _log_step(table: np.ndarray, log_row: list[np.ndarray], forward: bool) -> np.ndarray:
@@ -401,16 +442,19 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
         return shift + np.log(np.exp(a - shift[:, None]).sum(axis=1))
 
 
-def _exact_general(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorReport:
-    """Exact fixed-horizon errors for any pair of alphabets, over marginal counts.
+def _exact_general(
+    config: ProtocolConfig, p: JointPmf, measures: Sequence[JointPmf]
+) -> tuple[list[float], list[float]]:
+    """Log accept mass and E[T] of p's fixed-horizon rule under each measure,
+    for any pair of alphabets, over marginal counts.
 
     The verdict reads only the marginal counts, and each typical set is a box
     in count space. So the accept mass is a sum over the typical x-count
     vectors a: the mass of the x-sequences with counts a, times the
     probability that their y-counts, the sum of the row multinomials
-    Mult(a_i, P(y | x = i)), land in the y-box. Both measures are carried
-    side by side in log-domain tables over the counts of every y symbol but
-    the last, cut off at each symbol's largest typical count. A sample of x
+    Mult(a_i, P(y | x = i)), land in the y-box. The measures ride side by
+    side on axis 0 of log-domain tables over the counts of every y symbol
+    but the last, cut off at each symbol's largest typical count. A sample of x
     symbol i adds the joint cells of row i, so the tables hold joint masses
     and each a adds only the coefficient N! / prod(a_i!).
 
@@ -433,9 +477,10 @@ def _exact_general(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorRep
     ok_y = rule.symbol_ok(counts, total, rule.p_y.probs).T
     # The only count of a one-symbol alphabet is N, and it is typical.
     reject_empty = all(len(ok) == 1 or np.all(ok) for ok in (ok_x, ok_y))
-    n = float(config.n)
+    layers = len(measures)
+    e_ts = [float(config.n)] * layers
     if not (np.any(ok_x, axis=1).all() and ok_y.any(axis=1).all()):
-        return _exact_report(config, (-np.inf, -np.inf), (n, n), reject_empty)
+        return _pinned([-np.inf] * layers, reject_empty), e_ts
     lows = [row.index(True) for row in ok_x]
     tops = [total - row[::-1].index(True) for row in ok_x]
     shape = tuple(int(np.nonzero(row)[0][-1]) + 1 for row in ok_y[:-1])
@@ -452,9 +497,9 @@ def _exact_general(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorRep
         )
 
     with np.errstate(divide="ignore"):
-        log_joint = np.log(np.stack((p.probs, q.probs)))
+        log_joint = np.log(np.stack([m.probs for m in measures]))
     ones = (1,) * len(shape)
-    log_rows = [[log_joint[:, i, j].reshape((2,) + ones) for j in range(ny)] for i in range(nx)]
+    log_rows = [[log_joint[:, i, j].reshape((layers,) + ones) for j in range(ny)] for i in range(nx)]
 
     # The y-box at the horizon is the backward table for m = 0.
     in_box = np.ones(shape, dtype=bool)
@@ -465,14 +510,14 @@ def _exact_general(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorRep
         y_sum = y_sum + v
     last = total - y_sum
     in_box &= (last >= 0) & ok_y[-1][np.maximum(last, 0)]
-    back = np.broadcast_to(np.where(in_box, 0.0, -np.inf), (2,) + shape)
+    back = np.broadcast_to(np.where(in_box, 0.0, -np.inf), (layers,) + shape)
     backs = {}  # only the last-row counts that some typical a can leave
     first = total - sum(tops[:-1])
     for m in range(min(tops[-1], total - sum(lows[:-1])) + 1):
         if m:
             back = _log_step(back, log_rows[-1], forward=False)
         if m >= first and ok_x[-1][m]:
-            backs[m] = back.reshape(2, -1)
+            backs[m] = back.reshape(layers, -1)
 
     lg = gammaln(np.arange(total + 2)).tolist()
     leaves = []
@@ -481,7 +526,7 @@ def _exact_general(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorRep
         if i == nx - 1:
             a = total - used
             if a in backs:
-                dot = _logsumexp_rows(table.reshape(2, -1) + backs[a])
+                dot = _logsumexp_rows(table.reshape(layers, -1) + backs[a])
                 leaves.append(dot + (log_coef - lg[a + 1]))
             return
         rest = total - used
@@ -492,11 +537,35 @@ def _exact_general(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorRep
             if ok_x[i][a] and rest - a <= ceiling:
                 descend(i + 1, table, used + a, log_coef - lg[a + 1])
 
-    start = np.full((2,) + shape, -np.inf)
+    start = np.full((layers,) + shape, -np.inf)
     start[(slice(None),) + (0,) * len(shape)] = 0.0
     descend(0, start, 0, lg[total + 1])
-    log_accepts = _logsumexp_rows(np.array(leaves).T).tolist() if leaves else [-np.inf, -np.inf]
-    return _exact_report(config, tuple(log_accepts), (n, n), reject_empty)
+    if not leaves:
+        return _pinned([-np.inf] * layers, reject_empty), e_ts
+    # A running sum over the leaves, in their order, so that each measure's
+    # total is the same double however many measures ride along.
+    leaf = np.array(leaves)
+    top = leaf.max(axis=0)
+    shift = np.where(top > -np.inf, top, 0.0)
+    with np.errstate(divide="ignore"):
+        log_accepts = shift + np.log(np.add.accumulate(np.exp(leaf - shift), axis=0)[-1])
+    return _pinned(log_accepts.tolist(), reject_empty), e_ts
+
+
+def _exact_log_accepts(
+    config: ProtocolConfig, p: JointPmf, measures: Sequence[JointPmf]
+) -> tuple[list[float], list[float]]:
+    """Log accept mass and E[T] of p's rule under each measure: the 2x2
+    evaluator for binary pairs, the general one for other fixed-horizon
+    pairs, and ``TooLarge`` for early-decide on other alphabets."""
+    if p.probs.shape == (2, 2):
+        return _exact_binary(config, p, measures)
+    if config.policy_kind is PolicyKind.FIXED_HORIZON:
+        return _exact_general(config, p, measures)
+    raise TooLarge(
+        "early-decide exact evaluation supports binary alphabets only; "
+        "use the Monte Carlo method"
+    )
 
 
 def exact_errors(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorReport:
@@ -509,16 +578,11 @@ def exact_errors(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorRepor
     about prod(window top + 1) cells over all but one y symbol, under the
     cell budget (3x3 at N = 60 is about 10^6 cells). Past the budget, and
     for early-decide on them, it raises ``TooLarge`` (use Monte Carlo).
+    Both evaluators take the null's rule and a list of measures;
+    ``fit_exponent`` passes the alternative alone.
     """
-    _check_instance(config, p, q)
-    if p.probs.shape == (2, 2):
-        return _exact_binary(config, p, q)
-    if config.policy_kind is PolicyKind.FIXED_HORIZON:
-        return _exact_general(config, p, q)
-    raise TooLarge(
-        "early-decide exact evaluation supports binary alphabets only; "
-        "use the Monte Carlo method"
-    )
+    _check_instance(p, q)
+    return _exact_report(config, *_exact_log_accepts(config, p, (p, q)))
 
 
 def monte_carlo_errors(
@@ -536,7 +600,7 @@ def monte_carlo_errors(
     re-uses earlier trials unchanged, and the worker count only partitions
     work (fixed chunk size, ordered integer reduction), never the outcome.
     """
-    _check_instance(config, p, q)
+    _check_instance(p, q)
     if trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
     if threads < 1:
@@ -593,6 +657,9 @@ def fit_exponent(
     grid (rather than one large N) cancels the polynomial prefactor from the
     type counts, which only perturbs -ln(beta) by O(log N). A budget with
     beta exactly 0 has no finite -ln(beta) and raises ``InvalidConfig``.
+
+    Each point evaluates the alternative only, since alpha is never read;
+    its -ln(beta) is the same double ``exact_errors`` reports.
     """
     budgets = sorted(int(v) for v in budget_grid)
     if len(budgets) < 4:
@@ -601,6 +668,7 @@ def fit_exponent(
         raise InvalidConfig(
             f"need at least 2 distinct budgets to fit a slope, got {budgets}"
         )
+    _check_instance(p, q)
     points = []
     for total in budgets:
         if total < config.k or total % config.k != 0:
@@ -608,13 +676,13 @@ def fit_exponent(
                 f"budget {total} is not a positive multiple of k={config.k}"
             )
         cfg = replace(config, n=total // config.k)
-        report = exact_errors(cfg, p, q)
-        if report.log_beta == -math.inf:
+        (log_beta,), _ = _exact_log_accepts(cfg, p, (q,))
+        if log_beta == -math.inf:
             raise InvalidConfig(
                 f"beta is exactly 0 at budget {total}: its acceptance region has "
                 "zero mass under the alternative, so -ln(beta) is infinite"
             )
-        points.append((total, -report.log_beta))
+        points.append((total, -log_beta))
 
     x = np.array([float(n) for n, _ in points])
     y = np.array([v for _, v in points])
@@ -633,9 +701,7 @@ def fit_exponent(
 StoppingRule = Callable[[tuple[int, ...]], bool]
 
 
-def _composite_pair(
-    p: Pmf | JointPmf, q: Pmf | JointPmf, horizon: int, node_budget: int = 2_000_000
-):
+def _composite_pair(p: Pmf | JointPmf, q: Pmf | JointPmf, horizon: int):
     """(p, q) flattened over the composite alphabet, checked for exact enumeration."""
     pv, qv = p.probs.ravel(), q.probs.ravel()
     if pv.shape != qv.shape:
@@ -644,9 +710,9 @@ def _composite_pair(
         raise NotStrictlyPositive("the alternative must be strictly positive")
     if horizon < 1:
         raise HorizonTooLarge(f"horizon must be >= 1, got {horizon}")
-    if pv.size**horizon > node_budget:
+    if pv.size**horizon > _PATH_BUDGET:
         raise HorizonTooLarge(
-            f"{pv.size}^{horizon} sequences exceed the enumeration budget {node_budget}"
+            f"{pv.size}^{horizon} sequences exceed the enumeration budget {_PATH_BUDGET}"
         )
     return pv, qv
 

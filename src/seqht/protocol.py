@@ -93,6 +93,10 @@ class ProtocolConfig:
             # A bool is an Integral, but True is not a count.
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise InvalidConfig(f"{name} must be a positive integer, got {value!r}")
+        for name in ("eta", "epsilon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidConfig(f"{name} must be a real number, got {value!r}")
         if not (self.eta > 0):
             raise InvalidConfig(f"eta must be > 0, got {self.eta}")
         if not (0.0 < self.epsilon < 1.0):

@@ -172,7 +172,9 @@ def joint_type_enumeration(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> 
     log_accept_p = float(logsumexp(accept_logs_p)) if accept_logs_p else -np.inf
     log_accept_q = float(logsumexp(accept_logs_q)) if accept_logs_q else -np.inf
     n = float(config.n)
-    return _exact_report(config, (log_accept_p, log_accept_q), (n, n), not rejected_any)
+    if not rejected_any:  # accept mass exactly 1, as the evaluators pin it
+        log_accept_p = log_accept_q = 0.0
+    return _exact_report(config, (log_accept_p, log_accept_q), (n, n))
 
 
 def feasible_joint_divergence(p: JointPmf, q: JointPmf, coupling: JointPmf) -> float:

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from _bruteforce import enumerate_errors
 from _oracles import convolution_log_accept, early_binary_outcome, joint_type_enumeration
@@ -45,8 +47,11 @@ from seqht import (
 from seqht.harness import (
     _binary_log_accept,
     _binom_logpmf,
+    _binom_rows,
     _exact_binary,
     _exact_general,
+    _exact_report,
+    _log_window_masses,
     _logsumexp,
 )
 from seqht.protocol import _DecisionRule
@@ -60,6 +65,11 @@ def _random_joint(rng, rows=2, cols=2, floor=0.02):
     raw = rng.dirichlet(np.ones(rows * cols)).reshape(rows, cols)
     mixed = (1.0 - floor * rows * cols) * raw + floor
     return JointPmf.from_probs(mixed / mixed.sum())
+
+
+def _report(evaluator, config, p, q):
+    """One exact evaluator's report on (p, q), built as ``exact_errors`` builds it."""
+    return _exact_report(config, *evaluator(config, p, (p, q)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +173,15 @@ def test_general_enumeration_matches_binary_fast_path():
         p = _random_joint(rng)
         q = _random_joint(rng)
         config = ProtocolConfig(k=3, n=4, eta=eta)
-        fast = _exact_binary(config, p, q)
-        for slow in (joint_type_enumeration(config, p, q), _exact_general(config, p, q)):
+        fast = _report(_exact_binary, config, p, q)
+        for slow in (joint_type_enumeration(config, p, q), _report(_exact_general, config, p, q)):
             assert abs(fast.alpha - slow.alpha) <= 1e-12
             assert abs(fast.beta - slow.beta) <= 1e-12
             assert math.isclose(fast.log_beta, slow.log_beta, rel_tol=1e-10)
 
 
 def _assert_matches_enumeration(config, p, q):
-    report = _exact_general(config, p, q)
+    report = _report(_exact_general, config, p, q)
     oracle = joint_type_enumeration(config, p, q)
     assert abs(report.alpha - oracle.alpha) <= 1e-12
     assert abs(report.beta - oracle.beta) <= 1e-12
@@ -264,12 +274,85 @@ def test_binary_window_sums_match_convolution_oracle():
     assert deep_tail >= 30
 
 
+def test_window_masses_match_direct_sums():
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        m = int(rng.integers(0, 40))
+        log_pmf = _binom_logpmf(np.arange(m + 1), m, float(rng.choice([0.0, rng.uniform(0, 1), 1.0])))
+        lo = int(rng.integers(-5, m + 10))
+        hi = lo + int(rng.integers(0, m + 5))
+        count = int(rng.integers(0, 50))
+        got = _log_window_masses(log_pmf, lo, hi, count)
+        for b, value in enumerate(got):
+            window = log_pmf[max(lo - b, 0) : max(min(hi - b, m) + 1, 0)]
+            direct = float(logsumexp(window)) if window.size else -np.inf
+            if direct == -np.inf:
+                assert value == -np.inf
+            else:
+                assert math.isclose(value, direct, rel_tol=1e-12, abs_tol=1e-13)
+
+
 def test_binomial_log_pmf_is_scipy_formula_bit_for_bit():
     from scipy.stats import binom
 
+    lg = gammaln(np.arange(2002))
     for n, p in [(0, 0.3), (7, 0.0), (7, 1.0), (64, 0.5), (137, 0.9999), (2000, 0.1)]:
         k = np.arange(n + 1)
-        assert np.array_equal(_binom_logpmf(k, n, p), binom.logpmf(k, n, p))
+        expected = binom.logpmf(k, n, p)
+        assert np.array_equal(_binom_logpmf(k, n, p), expected)
+        # The table form, from a table that ends at n and from a longer one.
+        assert np.array_equal(_binom_rows(gammaln(np.arange(n + 2)), p)(n), expected)
+        assert np.array_equal(_binom_rows(lg, p)(n), expected)
+    for p in (0.0, 1e-300, 0.3, 0.5, 1.0 - 1e-12, 1.0):
+        rows = _binom_rows(lg, p)
+        for n in range(0, 2001, 37):
+            assert np.array_equal(rows(n), _binom_logpmf(np.arange(n + 1), n, p))
+
+
+# float.hex() of (alpha, beta, log_alpha, log_beta, e_t_h0, e_t_h1) from
+# exact_errors, taken from the evaluator before its binomial terms were read
+# off tables; any change to the arithmetic or its order shows here.
+_PINNED_EXACT = [
+    ((PRODUCT_P, UNIFORM, 2, 250, None, "fixed_horizon"),
+     ("0x1.61fffffffff0bp-44", "0x1.eea8d30b2a88fp-102", "-0x1.e2ca2a04231d1p+4",
+      "-0x1.182b56018dab2p+6", "0x1.f400000000000p+7", "0x1.f400000000000p+7")),
+    ((PRODUCT_P, UNIFORM, 2, 1000, 0.02, "fixed_horizon"),
+     ("0x1.a9fa179ea4d1dp-8", "0x0.0p+0", "-0x1.424d53ec2e728p+2",
+      "-0x1.48f196fc8330ep+10", "0x1.f400000000000p+9", "0x1.f400000000000p+9")),
+    ((PRODUCT_P, UNIFORM, 2, 32, 0.1, "early_decide"),
+     ("0x1.15477161ddbd8p-2", "0x1.5f05fb68a6ad4p-46", "-0x1.4e7354e0b1e2fp+0",
+      "-0x1.f91b034fc5bc7p+4", "0x1.82c462028420fp+4", "0x1.ad9730e0b33ffp+0")),
+    ((PRODUCT_P, UNIFORM, 2, 100, None, "early_decide"),
+     ("0x1.82cbb240144bbp-7", "0x1.16e6f6b97d629p-12", "-0x1.1c1dac44494b4p+2",
+      "-0x1.076d381cc2573p+3", "0x1.8b5534e1cfa4cp+6", "0x1.73a1a12621ce1p+5")),
+    # a zero cell in the null
+    ((JointPmf.from_probs([[0.5, 0.2], [0.3, 0.0]]), CORRELATED, 3, 40, 0.1, "fixed_horizon"),
+     ("0x1.ca41bba4f3f88p-6", "0x1.130e790e5a595p-7", "-0x1.c9cf0a51a1eacp+1",
+      "-0x1.31ef4e381b7a0p+2", "0x1.4000000000000p+5", "0x1.4000000000000p+5")),
+    ((JointPmf.from_probs([[0.5, 0.2], [0.3, 0.0]]), CORRELATED, 3, 40, 0.1, "early_decide"),
+     ("0x1.6783d2cd336b1p-1", "0x1.d25339a5d9f76p-10", "-0x1.6a0df77ea0a1cp-2",
+      "-0x1.953ba8659a841p+2", "0x1.a3454493d1625p+3", "0x1.d07eaff0ea334p+1")),
+    # conditional rates 1 and 0 under the null
+    ((JointPmf.from_probs([[0.6, 0.0], [0.0, 0.4]]), CORRELATED, 2, 60, 0.15, "fixed_horizon"),
+     ("0x1.0f935d70e9d05p-10", "0x1.b9ff978d94eaep-1", "-0x1.b7d58a98d86cep+2",
+      "-0x1.2d17f4bcaae80p-3", "0x1.e000000000000p+5", "0x1.e000000000000p+5")),
+    # a conditional rate 0 under the alternative
+    ((CORRELATED, JointPmf.from_probs([[0.6, 0.0], [0.25, 0.15]]), 2, 45, 0.2, "early_decide"),
+     ("0x1.11d91f2e82f0bp-1", "0x1.676515fabd49cp-6", "-0x1.40626d31dd1a2p-1",
+      "-0x1.e8e9ece734806p+1", "0x1.58168ccea9f8dp+4", "0x1.2956bf308a9c9p+3")),
+]
+
+
+@pytest.mark.parametrize("case,expected", _PINNED_EXACT)
+def test_exact_binary_is_pinned_bit_for_bit(case, expected):
+    p, q, k, n, eta, policy = case
+    eta = default_eta(n, k) if eta is None else eta
+    config = ProtocolConfig(k=k, n=n, eta=eta, policy_kind=policy)
+    report = exact_errors(config, p, q)
+    fields = (report.alpha, report.beta, report.log_alpha, report.log_beta, report.e_t_h0, report.e_t_h1)
+    assert tuple(float(v).hex() for v in fields) == expected
 
 
 def test_logsumexp_is_scipy_arithmetic_bit_for_bit():
@@ -549,6 +632,30 @@ def test_fit_slope_tracks_relaxed_oracle():
     assert fit.r_squared > 0.999
     solver = solve_exponent(PRODUCT_P, q)
     assert fit.slope <= solver.exponent + 0.02
+
+
+@pytest.mark.parametrize(
+    "p,q,config,grid",
+    [
+        (PRODUCT_P, UNIFORM, ProtocolConfig(k=2, n=100, eta=default_eta(100, 2)), [100, 200, 300, 400]),
+        (PRODUCT_P, UNIFORM, ProtocolConfig(k=2, n=20, eta=0.1, policy_kind="early_decide"), [20, 40, 60, 80]),
+        (
+            JointPmf.from_probs([[0.30, 0.05, 0.05], [0.05, 0.20, 0.05], [0.05, 0.05, 0.20]]),
+            JointPmf.from_probs(np.full((3, 3), 1.0 / 9.0)),
+            ProtocolConfig(k=2, n=10, eta=0.2),
+            [12, 24, 36, 48],
+        ),
+    ],
+    ids=["2x2-fixed", "2x2-early", "3x3-fixed"],
+)
+def test_fit_points_are_exact_log_beta_bit_for_bit(p, q, config, grid):
+    # fit evaluates the alternative only; each point must still be the
+    # -log_beta that exact_errors reports with both measures.
+    fit = fit_exponent(config, p, q, grid)
+    assert [total for total, _ in fit.points] == grid
+    for total, value in fit.points:
+        report = exact_errors(replace(config, n=total // config.k), p, q)
+        assert value.hex() == (-report.log_beta).hex()
 
 
 def test_fit_points_are_recorded_in_grid_order():

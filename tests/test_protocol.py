@@ -67,6 +67,13 @@ def test_config_validation():
         with pytest.raises(InvalidConfig, match="n must be a positive integer"):
             ProtocolConfig(k=1, n=bad, eta=0.1)
     assert ProtocolConfig(k=np.int64(2), n=3, eta=0.1).total_samples == 6
+    # eta and epsilon are real numbers: a string or a bool is not a margin
+    for bad in ("0.1", True, np.True_, None, 0.1j):
+        with pytest.raises(InvalidConfig, match="eta must be a real number"):
+            ProtocolConfig(k=1, n=1, eta=bad)
+        with pytest.raises(InvalidConfig, match="epsilon must be a real number"):
+            ProtocolConfig(k=1, n=1, eta=0.1, epsilon=bad)
+    assert ProtocolConfig(k=1, n=1, eta=np.float64(0.1), epsilon=np.float32(0.05)).eta == 0.1
     # unknown kinds name the field and its allowed values
     with pytest.raises(InvalidConfig, match="encoder_kind must be one of 'one_bit', 'full_type'"):
         ProtocolConfig(k=1, n=1, eta=0.5, encoder_kind="bogus")
