@@ -33,6 +33,7 @@ a stopped-set log-probability bound).
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
@@ -47,13 +48,13 @@ from .errors import (
     NotStrictlyPositive,
     TooLarge,
 )
-from .prob import JointPmf, Pmf, kl_divergence, marginals
+from .prob import JointPmf, Pmf, kl_divergence
 from .protocol import (
     ACCEPT,
     REJECT,
     PolicyKind,
     ProtocolConfig,
-    _DecisionRule,
+    _rule,
     simulate_batch,
 )
 from .rng import derive_seed
@@ -353,6 +354,14 @@ def _pinned(log_accepts: list[float], reject_empty: bool) -> list[float]:
     return [0.0] * len(log_accepts) if reject_empty else log_accepts
 
 
+def _binary_mask(windows: Sequence[Sequence[int]], total: int) -> np.ndarray:
+    """Whether each binary count vector (c, total - c), c = 0..total, lies
+    in the two symbols' windows: an interval of c."""
+    (lo0, hi0), (lo1, hi1) = windows
+    c = np.arange(total + 1)
+    return (max(lo0, total - hi1) <= c) & (c <= min(hi0, total - lo1))
+
+
 def _exact_binary(
     config: ProtocolConfig, p: JointPmf, measures: Sequence[JointPmf]
 ) -> tuple[list[float], list[float]]:
@@ -374,16 +383,12 @@ def _exact_binary(
     """
     n, k = config.n, config.k
     total = config.total_samples
-    rule = _DecisionRule(config, *marginals(p))
-    x_mask = rule.binary_window(total, rule.p_x.probs)
-    y_mask = rule.binary_window(total, rule.p_y.probs)
+    rule = _rule(config, p)
+    x_mask, y_mask = (_binary_mask(w, total) for w in rule.horizon)
     # rejects[t - 1]: the counts of y = 0 that round t < n rejects.
     rejects = []
     if config.policy_kind is PolicyKind.EARLY_DECIDE:
-        rejects = [
-            ~rule.binary_window(t * k, rule.p_y.probs, margin)
-            for t, margin in enumerate(rule.reject_margins.tolist(), 1)
-        ]
+        rejects = [~_binary_mask(w, t * k) for t, w in enumerate(rule.y_early.tolist(), 1)]
     log_accepts, e_ts = [], []
     for joint in (m.probs for m in measures):
         ry0 = joint[0, 0] + joint[1, 0]
@@ -471,10 +476,13 @@ def _exact_general(
     """
     total = config.total_samples
     nx, ny = p.probs.shape
-    rule = _DecisionRule(config, *marginals(p))
-    counts = np.arange(total + 1)[:, None]
-    ok_x = rule.symbol_ok(counts, total, rule.p_x.probs).T.tolist()
-    ok_y = rule.symbol_ok(counts, total, rule.p_y.probs).T
+    counts = np.arange(total + 1)
+    # ok[s][c]: whether count c of symbol s lies in its window.
+    ok_x, ok_y = (
+        (counts >= lo[:, None]) & (counts <= hi[:, None])
+        for lo, hi in (np.array(w).T for w in _rule(config, p).horizon)
+    )
+    ok_x = ok_x.tolist()
     # The only count of a one-symbol alphabet is N, and it is typical.
     reject_empty = all(len(ok) == 1 or np.all(ok) for ok in (ok_x, ok_y))
     layers = len(measures)
@@ -661,7 +669,13 @@ def fit_exponent(
     Each point evaluates the alternative only, since alpha is never read;
     its -ln(beta) is the same double ``exact_errors`` reports.
     """
-    budgets = sorted(int(v) for v in budget_grid)
+    grid = list(budget_grid)
+    for v in grid:
+        # As for ProtocolConfig's k and n: a bool is not a count, and a float
+        # budget is an error, never truncated.
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+            raise InvalidConfig(f"budget_grid entries must be positive integers, got {v!r}")
+    budgets = sorted(int(v) for v in grid)
     if len(budgets) < 4:
         raise InvalidConfig(f"need at least 4 grid points, got {len(budgets)}")
     if budgets[0] == budgets[-1]:

@@ -23,6 +23,7 @@ from .errors import (
     LengthMismatch,
     UnsupportedMass,
 )
+from .rng import categorical_cdf, categorical_thresholds
 
 # Constructors renormalize sums within this slack and reject anything worse.
 # Tolerates config-file rounding without masking genuine errors.
@@ -104,6 +105,12 @@ class Pmf(_ArrayValue):
     def _parts(self):
         return (self.alphabet,), self.probs
 
+    @cached_property
+    def _rules(self) -> dict:
+        """Decision rules against this pmf, by protocol config, kept by
+        ``seqht.protocol``; the pmf is frozen, so none goes stale."""
+        return {}
+
     @classmethod
     def from_probs(cls, probs) -> "Pmf":
         a = np.asarray(probs, dtype=np.float64)
@@ -131,6 +138,18 @@ class JointPmf(_ArrayValue):
 
     def _parts(self):
         return (self.alphabet_x, self.alphabet_y), self.probs
+
+    @cached_property
+    def _rules(self) -> dict:
+        """Decision rules against this pmf, by protocol config, kept by
+        ``seqht.protocol``; the pmf is frozen, so none goes stale."""
+        return {}
+
+    @cached_property
+    def _thresholds(self) -> np.ndarray:
+        """Integer sampling thresholds of the cells in row-major order
+        (``seqht.rng.categorical_thresholds``), built once."""
+        return categorical_thresholds(categorical_cdf(self.probs.ravel()))
 
     @cached_property
     def _marginals(self) -> tuple[Pmf, Pmf]:
@@ -248,15 +267,33 @@ def _symbols(seq: Sequence[int], alphabet: Alphabet) -> np.ndarray:
     return s
 
 
-def _tally(seq: Sequence[int], alphabet: Alphabet) -> np.ndarray:
-    """The counts ``empirical_type(seq, alphabet)`` holds, with its checks and
-    errors, without building the type: checked symbols can only tally to
-    nonnegative counts of the alphabet's size, and a nonempty sequence to a
-    positive total."""
-    x = _symbols(seq, alphabet)
-    if x.size == 0:
+def _symbol_list(seq: Sequence[int], alphabet: Alphabet) -> list[int]:
+    """``_symbols(seq, alphabet)`` as a list of Python ints.
+
+    A list or tuple of Python ints in range is checked without numpy: on the
+    few symbols of a protocol round, numpy's fixed cost per call is several
+    times the check. Anything else (floats, bools, numpy values, symbols out
+    of range) goes through ``_symbols``, with its errors.
+    """
+    if (
+        type(seq) in (list, tuple)
+        and set(map(type, seq)) == {int}
+        and min(seq) >= 0
+        and max(seq) < alphabet.size
+    ):
+        return list(seq)
+    return _symbols(seq, alphabet).tolist()
+
+
+def _tally(seq: Sequence[int], alphabet: Alphabet) -> list[int]:
+    """The counts ``empirical_type(seq, alphabet)`` holds, as Python ints,
+    with its checks and errors, without building the type: checked symbols
+    can only tally to nonnegative counts of the alphabet's size, and a
+    nonempty sequence to a positive total."""
+    s = _symbol_list(seq, alphabet)
+    if not s:
         raise LengthMismatch("cannot take the type of an empty sequence")
-    return np.bincount(x, minlength=alphabet.size)
+    return [s.count(v) for v in range(alphabet.size)]
 
 
 def empirical_type(

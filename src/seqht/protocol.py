@@ -8,11 +8,15 @@ number of rounds until the first non-continue verdict.
 
 The decision rule is marginal typicality with margin eta: accept iff every
 symbol s of both empirical marginals has |count_s/N - p_s| <= eta, on raw
-integer counts with no renormalisation. The scalar protocol, the batch
-simulator and the exact evaluators all share this one test (``_DecisionRule``).
-Both encoders (a single typicality bit, or the full empirical type) induce the
-same acceptance region; the fixed-horizon policy always decides at round n,
-while the early-decide policy may reject sooner on a widened margin.
+integer counts with no renormalisation. The counts that pass that float test
+form an integer window [lo, hi] per symbol, so ``_DecisionRule`` compiles the
+rule once per (config, null pmf) into a table of windows, each end stepped
+onto the float test's boundary, and keeps it on the pmf. The scalar protocol
+then compares Python ints, and the batch simulator and the exact evaluators
+read their masks off the same table. Both encoders (a single typicality
+bit, or the full empirical type) induce the same acceptance region; the
+fixed-horizon policy always decides at round n, while the early-decide
+policy may reject sooner on a widened margin.
 
 Every verdict depends on the observations only through their empirical types,
 and indeed only through their marginal counts, which is what makes exact
@@ -41,12 +45,12 @@ from .prob import (
     EmpiricalType,
     JointPmf,
     Pmf,
-    _symbols,
+    _symbol_list,
     _tally,
     empirical_type,
     marginals,
 )
-from .rng import categorical_cdf, categorical_thresholds, random_bits_into, uniform_ints
+from .rng import random_bits_into, uniform_ints
 
 
 class EncoderKind(str, Enum):
@@ -223,9 +227,24 @@ def _blocked_length(config: ProtocolConfig, length: int) -> int:
 
 @dataclass(frozen=True)
 class _DecisionRule:
-    """The decision center's rule for one (config, null marginals), built once.
+    """The decision center's rule for one (config, null marginals), compiled
+    into a table of integer count windows.
 
-    ``p_y`` is None for a sensor-side rule that only encodes.
+    Symbol s passes on N samples when |c/N - p_s| <= margin for its raw
+    count c (``symbol_ok``). Float division by a positive N is monotone in c,
+    and so is subtracting p_s, so the counts that pass form one interval
+    [lo, hi], the symbol's window (empty when lo > hi). ``windows`` finds
+    each end from the estimate N(p_s -/+ margin), stepping one count at a
+    time until the float test holds at the end and fails just past it, so a
+    window costs O(1) tests and every verdict read off the table is the float
+    test's, bit for bit.
+
+    The table has three parts, each built on first use: ``horizon`` (lists
+    of Python ints, for the scalar compares), and ``x_rounds`` and
+    ``y_early`` (int64 arrays of n or n - 1 rows, 16 bytes per symbol and
+    round, whose rows the scalar readers turn into lists as they go).
+    ``_rule`` keeps one rule per config on the null pmf. ``p_y`` is None for
+    a sensor-side rule that only encodes.
     """
 
     config: ProtocolConfig
@@ -250,21 +269,67 @@ class _DecisionRule:
     def typical(self, counts: np.ndarray, total, target: np.ndarray, margin=None) -> np.ndarray:
         return self.symbol_ok(counts, total, target, margin).all(axis=-1)
 
-    def typical_one(self, counts: np.ndarray, total: int, target: np.ndarray, margin=None) -> bool:
-        """``typical`` of one count vector, tested symbol by symbol on Python
-        numbers: on alphabet-sized vectors numpy's fixed cost per call is
-        several times the arithmetic. The brute-force enumeration of the
-        acceptance tests makes 638k public ``decide`` calls; they took a
-        median 12.0 s with this and 15.5 s with ``typical`` (five
-        alternating runs on one host)."""
-        return all(
-            self.symbol_ok(c, total, p, margin) for c, p in zip(counts.tolist(), target.tolist())
-        )
+    def windows(self, totals, target, margin=None) -> np.ndarray:
+        """The window of the counts that pass ``symbol_ok(c, totals, target,
+        margin)``, as [lo, hi] on a last axis, the arguments broadcast.
 
-    def binary_window(self, total: int, target: np.ndarray, margin=None) -> np.ndarray:
-        """Typicality of each binary type (c, total - c), c = 0..total."""
-        c = np.arange(total + 1)
-        return self.typical(np.stack((c, total - c), axis=-1), total, target, margin)
+        The test is -margin <= c/N - p <= margin, each half monotone in c: lo
+        is the least count 0..N meeting the first (N + 1 if none does) and hi
+        the greatest meeting the second (-1 if none does).
+        """
+        margin = self.config.eta if margin is None else margin
+        totals, target, margin = np.broadcast_arrays(totals, target, margin)
+        lo = np.clip(np.ceil(totals * (target - margin)), 0, totals + 1).astype(np.int64)
+        hi = np.clip(np.floor(totals * (target + margin)), -1, totals).astype(np.int64)
+        # The estimates are off by a count at most; the loops run once or twice.
+        while (up := (lo <= totals) & (lo / totals - target < -margin)).any():
+            lo += up
+        while (down := (lo > 0) & ((lo - 1) / totals - target >= -margin)).any():
+            lo -= down
+        while (down := (hi >= 0) & (hi / totals - target > margin)).any():
+            hi -= down
+        while (up := (hi < totals) & ((hi + 1) / totals - target <= margin)).any():
+            hi += up
+        return np.stack((lo, hi), axis=-1)
+
+    @cached_property
+    def horizon(self) -> list:
+        """[x windows, y windows] at eta over the N samples of round n."""
+        total = self.config.total_samples
+        return [self.windows(total, pmf.probs).tolist() for pmf in (self.p_x, self.p_y)]
+
+    @cached_property
+    def x_rounds(self) -> np.ndarray:
+        """Row t-1: the x windows at eta over t*k samples, t = 1..n (the
+        one-bit message of round t)."""
+        totals = self.config.k * np.arange(1, self.config.n + 1)[:, None]
+        return self.windows(totals, self.p_x.probs)
+
+    @cached_property
+    def y_early(self) -> np.ndarray:
+        """Row t-1: the y windows at round t's reject margin over t*k
+        samples, t = 1..n-1 (early-decide's reject test)."""
+        totals = self.config.k * np.arange(1, self.config.n)[:, None]
+        return self.windows(totals, self.p_y.probs, self.reject_margins[:, None])
+
+
+def _rule(config: ProtocolConfig, null: JointPmf | Pmf) -> _DecisionRule:
+    """The rule of ``config`` against a null joint, or against an x marginal
+    for the sensor alone, built once per (config, pmf) and kept on the pmf.
+    Threads racing to build the same rule keep the first one stored."""
+    rule = null._rules.get(config)
+    if rule is None:
+        pmfs = marginals(null) if isinstance(null, JointPmf) else (null,)
+        rule = null._rules.setdefault(config, _DecisionRule(config, *pmfs))
+    return rule
+
+
+def _inside(counts: Sequence[int], windows: Sequence[Sequence[int]]) -> bool:
+    """Whether every count lies in its symbol's window [lo, hi]."""
+    for c, (lo, hi) in zip(counts, windows):
+        if not lo <= c <= hi:
+            return False
+    return True
 
 
 def encode(config: ProtocolConfig, x_prefix: Sequence[int], p_x: Pmf) -> Message:
@@ -276,8 +341,10 @@ def encode(config: ProtocolConfig, x_prefix: Sequence[int], p_x: Pmf) -> Message
     t = _blocked_length(config, len(x_prefix))
     if config.encoder_kind is EncoderKind.ONE_BIT:
         counts = _tally(x_prefix, p_x.alphabet)
-        typical = _DecisionRule(config, p_x).typical_one(counts, len(x_prefix), p_x.probs)
-        return Message(step=t, payload=int(typical))
+        rule = _rule(config, p_x)
+        # Past the horizon, which no protocol run reaches, there is no row.
+        windows = rule.x_rounds[t - 1] if t <= config.n else rule.windows(len(x_prefix), p_x.probs)
+        return Message(step=t, payload=int(_inside(counts, windows.tolist())))
     return Message(step=t, payload=empirical_type(x_prefix, p_x.alphabet))
 
 
@@ -295,7 +362,7 @@ def decide(
     for the null y-marginal. Early-decide: additionally reject at t < n when
     the y-type is atypical on the widened margin; acceptance still only at n.
     """
-    return _decide(_DecisionRule(config, *marginals(p_joint)), messages, y_prefix, t)
+    return _decide(_rule(config, p_joint), messages, y_prefix, t)
 
 
 def _decide(
@@ -319,15 +386,16 @@ def _decide(
 
     if t < config.n:
         if config.policy_kind is PolicyKind.EARLY_DECIDE:
+            # The tally comes first: an empty prefix (t = 0) is its error.
             y_counts = _tally(y_prefix, p_y.alphabet)
-            margin = config.reject_margin(t)
-            if not rule.typical_one(y_counts, len(y_prefix), p_y.probs, margin):
+            if not _inside(y_counts, rule.y_early[t - 1].tolist()):
                 return REJECT
         return CONTINUE
     if t > config.n:
         raise InvalidConfig(f"round {t} beyond the horizon n={config.n}")
 
-    y_ok = rule.typical_one(_tally(y_prefix, p_y.alphabet), len(y_prefix), p_y.probs)
+    x_windows, y_windows = rule.horizon
+    y_ok = _inside(_tally(y_prefix, p_y.alphabet), y_windows)
     if config.encoder_kind is EncoderKind.ONE_BIT:
         if not isinstance(payload, int):
             raise InconsistentMessages("one-bit decider received a non-bit payload")
@@ -337,47 +405,41 @@ def _decide(
             raise InconsistentMessages("full-type decider received a non-type payload")
         if payload.is_joint or payload.alphabet_x != rule.p_x.alphabet:
             raise AlphabetMismatch("full-type payload is not a type over the x-alphabet")
-        x_ok = rule.typical_one(payload.counts, payload.total, rule.p_x.probs)
+        x_ok = _inside(payload.counts.tolist(), x_windows)
     return ACCEPT if (x_ok and y_ok) else REJECT
 
 
-def _replay(rule: _DecisionRule, x: np.ndarray, y: np.ndarray):
-    """Play the protocol on checked int64 symbol arrays until the policy stops
-    or the samples run out.
+def _replay(rule: _DecisionRule, x: Sequence[int], y: Sequence[int]):
+    """Play the protocol on checked symbol sequences of Python ints until the
+    policy stops or the samples run out.
 
-    Returns each round's verdict, the running x counts (row t-1: the count of
-    each symbol in the first t*k samples) and each round's x-typicality bit,
-    for the rounds played. Round t's verdict is the one ``decide`` gives on the
-    length-t*k prefixes, and its message the one ``encode`` gives (the bit, or
-    an ``EmpiricalType`` of the counts row). One cumsum yields every round's
-    counts, so a replay is O(n k).
+    Returns each round's verdict and the running x counts of each round
+    played (row t-1: the count of each symbol in the first t*k samples).
+    Round t's verdict is the one ``decide`` gives on the length-t*k
+    prefixes; its message is the one ``encode`` gives, the counts row or its
+    x-window test. Counts run on, so a replay is O(n k).
     """
-    config, p_x, p_y = rule.config, rule.p_x, rule.p_y
+    config = rule.config
     k, n = config.k, config.n
-    nx, ny = p_x.alphabet.size, p_y.alphabet.size
     rounds = min(len(x) // k, n)
-    samples = rounds * k
-    seen = np.concatenate(
-        (x[:samples, None] == np.arange(nx), y[:samples, None] == np.arange(ny)), axis=1
-    )
-    counts = seen.cumsum(axis=0)[k - 1 :: k]
-    totals = k * np.arange(1, rounds + 1)[:, None]
-    x_counts = counts[:, :nx]
-    x_ok = rule.typical(x_counts, totals, p_x.probs)
-
+    early = rule.y_early[:rounds].tolist() if config.policy_kind is PolicyKind.EARLY_DECIDE else ()
+    x_counts = [0] * rule.p_x.alphabet.size
+    y_counts = [0] * rule.p_y.alphabet.size
+    rows = []
+    for t in range(rounds):
+        for s in x[t * k : t * k + k]:
+            x_counts[s] += 1
+        for s in y[t * k : t * k + k]:
+            y_counts[s] += 1
+        rows.append(x_counts.copy())
+        if t < len(early) and not _inside(y_counts, early[t]):
+            return [CONTINUE] * t + [REJECT], rows
     verdicts: list[int | None] = [CONTINUE] * rounds
-    checked = min(rounds, n - 1) if config.policy_kind is PolicyKind.EARLY_DECIDE else 0
-    if checked:
-        y_fine = rule.typical(
-            counts[:checked, nx:], totals[:checked], p_y.probs, rule.reject_margins[:checked, None]
-        ).tolist()
-        if False in y_fine:
-            played = y_fine.index(False) + 1
-            return verdicts[: played - 1] + [REJECT], x_counts[:played], x_ok[:played]
     if rounds == n:
-        y_ok = rule.typical(counts[-1, nx:], n * k, p_y.probs)
-        verdicts[-1] = ACCEPT if (x_ok[-1] and y_ok) else REJECT
-    return verdicts, x_counts, x_ok
+        x_windows, y_windows = rule.horizon
+        accept = _inside(x_counts, x_windows) and _inside(y_counts, y_windows)
+        verdicts[-1] = ACCEPT if accept else REJECT
+    return verdicts, rows
 
 
 def run_protocol(config: ProtocolConfig, p_null: JointPmf, source: SourceModel) -> Trace:
@@ -398,15 +460,16 @@ def run_protocol(config: ProtocolConfig, p_null: JointPmf, source: SourceModel) 
             f"source joint shape {source.joint.probs.shape} does not match "
             f"null joint shape {p_null.probs.shape}"
         )
-    rule = _DecisionRule(config, *marginals(p_null))
-    thresholds = categorical_thresholds(categorical_cdf(source.joint.probs.ravel()))
+    rule = _rule(config, p_null)
     counters = np.arange(config.total_samples, dtype=np.uint64)
-    draws = (uniform_ints(np.uint64(source.rng_seed), counters) >= thresholds[:, None]).sum(axis=0)
-    x, y = np.divmod(draws, source.joint.alphabet_y.size)
-    verdicts, x_counts, x_ok = _replay(rule, x, y)
+    m = uniform_ints(np.uint64(source.rng_seed), counters)
+    # The thresholds are sorted, so the count of those m reaches is a search.
+    draws = np.searchsorted(source.joint._thresholds, m, side="right")
+    x, y = (v.tolist() for v in np.divmod(draws, source.joint.alphabet_y.size))
+    verdicts, x_counts = _replay(rule, x, y)
     t = len(verdicts)
     if config.encoder_kind is EncoderKind.ONE_BIT:
-        payloads = x_ok.astype(np.int64).tolist()
+        payloads = [int(_inside(c, w)) for c, w in zip(x_counts, rule.x_rounds[:t].tolist())]
     else:
         payloads = [EmpiricalType(c, rule.p_x.alphabet) for c in x_counts]
     played = t * config.k
@@ -415,8 +478,8 @@ def run_protocol(config: ProtocolConfig, p_null: JointPmf, source: SourceModel) 
         messages=tuple(Message(step=s, payload=p) for s, p in enumerate(payloads, 1)),
         feedback_bits=(1,) * (t - 1) + (0,),
         decision=verdicts[-1],
-        x_seq=tuple(x[:played].tolist()),
-        y_seq=tuple(y[:played].tolist()),
+        x_seq=tuple(x[:played]),
+        y_seq=tuple(y[:played]),
         per_step_verdicts=tuple(verdicts),
     )
 
@@ -436,9 +499,9 @@ def acceptance_region_membership(
     if len(x_full) != len(y_full):
         raise BadLength(f"sequence lengths differ: {len(x_full)} vs {len(y_full)}")
     _blocked_length(config, len(x_full))
-    rule = _DecisionRule(config, *marginals(p_null))
-    x = _symbols(x_full, rule.p_x.alphabet)
-    y = _symbols(y_full, rule.p_y.alphabet)
+    rule = _rule(config, p_null)
+    x = _symbol_list(x_full, rule.p_x.alphabet)
+    y = _symbol_list(y_full, rule.p_y.alphabet)
     verdicts = _replay(rule, x, y)[0]
     if verdicts[-1] is CONTINUE:
         raise BadLength(
@@ -546,7 +609,8 @@ def _early_reject(
     stops: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stream the horizon ``tile`` rounds at a time and check the y-marginal
-    of every round before the horizon, once per block of whole tiles.
+    of every round before the horizon against its count windows
+    (``rule.y_early``), once per block of whole tiles.
 
     Writes the stopping round of each rejected trial into ``stops`` and
     returns the trials never rejected with their ``above`` over the horizon.
@@ -557,7 +621,7 @@ def _early_reject(
     tiles = _DrawTiles(thresholds, seeds.size, tile * k, k)
     block = min(n, tile * -(-_DECISION_ROUNDS // tile))  # whole tiles per check, or the horizon
     through_buf = np.empty(thresholds.size * block * seeds.size, dtype=np.int64)
-    p_y = rule.p_y.probs[:, None, None]
+    lo, hi = rule.y_early.T[..., None]  # lo[s, t - 1]: y symbol s, round t < n
     for b0 in range(0, n, block):
         rounds = min(block, n - b0)
         # Hits of each round of the block, then counts through each round.
@@ -574,8 +638,8 @@ def _early_reject(
         checked = min(rounds, n - 1 - b0)
         totals = k * np.arange(b0 + 1, b0 + 1 + checked)[:, None]
         y = _cell_counts(through[:, :checked], totals, shape).sum(axis=0)  # symbols first
-        margins = rule.reject_margins[b0 : b0 + checked, None]
-        rejected = ~rule.symbol_ok(y, totals, p_y, margins).all(axis=0)
+        window = slice(b0, b0 + checked)
+        rejected = ((y < lo[:, window]) | (y > hi[:, window])).any(axis=0)
         out = rejected.any(axis=0)
         if out.any():
             stops[live[out]] = b0 + 1 + rejected[:, out].argmax(axis=0)
@@ -621,8 +685,8 @@ def simulate_batch(
     seeds = np.asarray(seeds, dtype=np.uint64)
     n, k = config.n, config.k
     shape = joint.probs.shape
-    rule = _DecisionRule(config, *marginals(p_null))
-    thresholds = categorical_thresholds(categorical_cdf(joint.probs.ravel()))
+    rule = _rule(config, p_null)
+    thresholds = joint._thresholds
     trials = seeds.shape[0]
     tile = max(1, min(n, _TILE_DRAWS // (k * max(1, trials))))  # rounds per tile
 
@@ -633,9 +697,10 @@ def simulate_batch(
     else:
         live, above = _early_reject(rule, seeds, thresholds, shape, tile, stops)
 
-    cells = _cell_counts(above, n * k, shape)  # marginals below are symbols first
-    x_ok = rule.symbol_ok(cells.sum(axis=1), n * k, rule.p_x.probs[:, None]).all(axis=0)
-    y_ok = rule.symbol_ok(cells.sum(axis=0), n * k, rule.p_y.probs[:, None]).all(axis=0)
-    accept = x_ok & y_ok
+    cells = _cell_counts(above, n * k, shape)
+    accept = np.ones(live.size, dtype=bool)
+    for counts, windows in zip((cells.sum(axis=1), cells.sum(axis=0)), rule.horizon):
+        lo, hi = np.array(windows).T[..., None]  # symbols first, as the counts
+        accept &= ((counts >= lo) & (counts <= hi)).all(axis=0)
     decisions[live[accept]] = ACCEPT
     return decisions, stops

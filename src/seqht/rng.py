@@ -27,8 +27,9 @@ count stays 0 (mapping it to 2**64 - 1 instead would count a word of
 reaches T_j. The words come from ``random_bits_into``, which hashes a
 cache-sized tile of counters into preallocated buffers with in-place ufuncs;
 being a pure function of (seed, counter), a draw is the same whatever tile
-computes it. ``mix64``, ``random_bits`` and ``uniform_ints`` stay for the
-scalar paths, whose few draws per call would not repay the buffers.
+computes it. ``random_bits``, ``uniform_ints``, ``mix64`` and ``derive_seed``
+run the same in-place passes on one fresh array per call, for the scalar
+paths, whose few draws would not repay the buffers.
 """
 
 from __future__ import annotations
@@ -50,30 +51,42 @@ _INV_2_53 = float(2.0**-53)
 
 def mix64(z):
     """splitmix64 finalizer; accepts a scalar or uint64 array, wraps mod 2**64."""
-    z = np.asarray(z, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> _S30)) * _M1
-        z = (z ^ (z >> _S27)) * _M2
-        z = z ^ (z >> _S31)
-    return z
+    z = np.array(z, dtype=np.uint64)  # a copy, hashed in place
+    _mix64_into(z, np.empty_like(z))
+    return z if z.ndim else z[()]
 
 
 def derive_seed(master: int, index) -> np.uint64:
     """Per-stream seed: the (index+1)-th splitmix64 output of the master stream."""
-    m = np.uint64(master & 0xFFFFFFFFFFFFFFFF)
-    idx = np.asarray(index, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        state = m + _GAMMA * (idx + _ONE)
-    return mix64(state)
+    return random_bits(np.uint64(master & 0xFFFFFFFFFFFFFFFF), index)
+
+
+def _mix64_into(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``mix64`` of the uint64 array ``z`` in place, ``scratch`` (same shape)
+    overwritten: z ^= z >> 30; z *= M1; z ^= z >> 27; z *= M2; z ^= z >> 31.
+    Array ufuncs wrap mod 2**64 without a warning, so no ``np.errstate`` is
+    needed (numpy's scalar arithmetic would warn)."""
+    for shift, mult in ((_S30, _M1), (_S27, _M2)):
+        np.right_shift(z, shift, out=scratch)
+        np.bitwise_xor(z, scratch, out=z)
+        np.multiply(z, mult, out=z)
+    np.right_shift(z, _S31, out=scratch)
+    return np.bitwise_xor(z, scratch, out=z)
+
+
+def _bits(seed, counter) -> np.ndarray:
+    """``random_bits`` as an array (0-d for scalars): the splitmix64 state
+    s + GAMMA * (c + 1), then ``_mix64_into`` on it in place."""
+    s = np.asarray(seed, dtype=np.uint64)
+    c = np.asarray(counter, dtype=np.uint64)
+    z = np.asarray(np.add(np.multiply(np.add(c, _ONE), _GAMMA), s))
+    return _mix64_into(z, np.empty_like(z))
 
 
 def random_bits(seed, counter):
     """64 uniform bits for each (seed, counter) pair, broadcasting."""
-    s = np.asarray(seed, dtype=np.uint64)
-    c = np.asarray(counter, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        state = s + _GAMMA * (c + _ONE)
-    return mix64(state)
+    z = _bits(seed, counter)
+    return z if z.ndim else z[()]
 
 
 def random_bits_into(seeds, start: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -88,18 +101,14 @@ def random_bits_into(seeds, start: int, out: np.ndarray, scratch: np.ndarray) ->
     offsets += _ONE
     offsets *= _GAMMA
     np.add(offsets[:, None], seeds, out=out)
-    # mix64 pass by pass: z ^= z >> 30; z *= M1; z ^= z >> 27; z *= M2; z ^= z >> 31.
-    for shift, mult in ((_S30, _M1), (_S27, _M2)):
-        np.right_shift(out, shift, out=scratch)
-        np.bitwise_xor(out, scratch, out=out)
-        np.multiply(out, mult, out=out)
-    np.right_shift(out, _S31, out=scratch)
-    return np.bitwise_xor(out, scratch, out=out)
+    return _mix64_into(out, scratch)
 
 
 def uniform_ints(seed, counter):
     """The 53-bit integers m behind ``uniforms``: u = m * 2**-53 exactly."""
-    return random_bits(seed, counter) >> _S11
+    z = _bits(seed, counter)
+    np.right_shift(z, _S11, out=z)
+    return z if z.ndim else z[()]
 
 
 def uniforms(seed, counter):

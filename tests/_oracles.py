@@ -1,5 +1,9 @@
 """Reference evaluators the exact fast paths are checked against.
 
+Every oracle here classifies counts with the decision rule's float test
+(``_DecisionRule.symbol_ok``), never with its count windows. ``binary_window``
+is that test on every binary type of one total.
+
 ``convolution_log_accept`` is the direct O(window_x * window_y * N) form of
 the binary fixed-horizon accept probability: for each typical x-count it
 convolves the two conditional y-count binomials over the whole accepted
@@ -12,6 +16,10 @@ samples at most).
 ``joint_type_enumeration`` is the fixed-horizon report of any pair of
 alphabets by scoring every joint type, O(N^(cells-1)) of them; the tests use
 it up to N = 20 (12 on 3x3, about 10^5 types).
+
+``float_replay`` plays the scalar protocol on fixed sequences, recounting
+each prefix and running the float test on it, for the scalar paths to be
+checked against.
 
 ``feasible_joint_divergence`` scores a coupling that shares the null's
 marginals; any such coupling must score at least the solved exponent.
@@ -29,7 +37,14 @@ from seqht.errors import InvalidConfig
 from seqht.exponent import _check_joint_pair
 from seqht.harness import ErrorReport, _binom_logpmf, _exact_report
 from seqht.prob import JointPmf, kl_divergence, marginals
-from seqht.protocol import ProtocolConfig, _DecisionRule
+from seqht.protocol import ACCEPT, CONTINUE, REJECT, PolicyKind, ProtocolConfig, _DecisionRule
+
+
+def binary_window(rule: _DecisionRule, total: int, target: np.ndarray, margin=None) -> np.ndarray:
+    """The float test of each binary type (c, total - c), c = 0..total,
+    independent of the rule's count windows."""
+    c = np.arange(total + 1)
+    return rule.typical(np.stack((c, total - c), axis=-1), total, target, margin)
 
 
 def convolution_log_accept(
@@ -80,7 +95,7 @@ def early_binary_outcome(
     e_t = 0.0
     for t in range(1, n):
         surv = np.convolve(surv, inc)
-        killed = ~rule.binary_window(t * k, rule.p_y.probs, rule.reject_margins[t - 1])
+        killed = ~binary_window(rule, t * k, rule.p_y.probs, rule.reject_margins[t - 1])
         killed_mass = float(surv[killed].sum())
         reject_mass += killed_mass
         e_t += t * killed_mass
@@ -88,8 +103,8 @@ def early_binary_outcome(
     surv = np.convolve(surv, inc)
     e_t += n * float(surv.sum())
 
-    y_ok = rule.binary_window(total, rule.p_y.probs)
-    x_mask = rule.binary_window(total, rule.p_x.probs)
+    y_ok = binary_window(rule, total, rule.p_y.probs)
+    x_mask = binary_window(rule, total, rule.p_x.probs)
     x_all = bool(x_mask.all())
     # P(x = 0 | y): one rate per observed y-value.
     u0 = joint[0, 0] / ry0 if ry0 > 0 else 0.0
@@ -175,6 +190,38 @@ def joint_type_enumeration(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> 
     if not rejected_any:  # accept mass exactly 1, as the evaluators pin it
         log_accept_p = log_accept_q = 0.0
     return _exact_report(config, (log_accept_p, log_accept_q), (n, n))
+
+
+def float_replay(config: ProtocolConfig, p_null: JointPmf, x_seq, y_seq):
+    """(verdicts, x bits, x counts) of each round the protocol plays on the
+    sequences, as ``decide`` and ``encode`` define them.
+
+    Round t recounts the first t*k samples and runs the float test
+    ``symbol_ok`` on them, at eta or, before the horizon under early-decide,
+    at ``config.reject_margin(t)``.
+    """
+    rule = _DecisionRule(config, *marginals(p_null))
+    k, n = config.k, config.n
+    nx, ny = p_null.probs.shape
+    x, y = np.asarray(x_seq, dtype=np.int64), np.asarray(y_seq, dtype=np.int64)
+    verdicts, bits, rows = [], [], []
+    for t in range(1, min(len(x) // k, n) + 1):
+        total = t * k
+        cx = np.bincount(x[:total], minlength=nx)
+        cy = np.bincount(y[:total], minlength=ny)
+        rows.append(cx.tolist())
+        bits.append(int(rule.symbol_ok(cx, total, rule.p_x.probs).all()))
+        if t == n:
+            y_ok = rule.symbol_ok(cy, total, rule.p_y.probs).all()
+            verdicts.append(ACCEPT if bits[-1] and y_ok else REJECT)
+        elif config.policy_kind is PolicyKind.EARLY_DECIDE and not rule.symbol_ok(
+            cy, total, rule.p_y.probs, config.reject_margin(t)
+        ).all():
+            verdicts.append(REJECT)
+            break
+        else:
+            verdicts.append(CONTINUE)
+    return verdicts, bits, rows
 
 
 def feasible_joint_divergence(p: JointPmf, q: JointPmf, coupling: JointPmf) -> float:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,12 @@ import pytest
 from scipy.special import gammaln
 
 from _bruteforce import enumerate_errors
-from _oracles import convolution_log_accept, early_binary_outcome, joint_type_enumeration
+from _oracles import (
+    binary_window,
+    convolution_log_accept,
+    early_binary_outcome,
+    joint_type_enumeration,
+)
 from seqht import (
     CONTINUE,
     EncoderKind,
@@ -260,8 +266,8 @@ def test_binary_window_sums_match_convolution_oracle():
     deep_tail = 0
     for p, q, total, eta in _oracle_instances():
         rule = _DecisionRule(ProtocolConfig(k=total, n=1, eta=eta), *marginals(p))
-        x_mask = rule.binary_window(total, rule.p_x.probs)
-        y_mask = rule.binary_window(total, rule.p_y.probs)
+        x_mask = binary_window(rule, total, rule.p_x.probs)
+        y_mask = binary_window(rule, total, rule.p_y.probs)
         fast_p, fast_q = (
             _binary_log_accept(j.probs, _x_count_law(j, total), x_mask, y_mask, total) for j in (p, q)
         )
@@ -600,6 +606,20 @@ def test_fit_requires_divisible_budgets():
     config = ProtocolConfig(k=4, n=10, eta=0.1)
     with pytest.raises(InvalidConfig):
         fit_exponent(config, CORRELATED, UNIFORM, budget_grid=[40, 80, 120, 121])
+
+
+@pytest.mark.parametrize("bad", [20.9, 40.0, np.float64(20.0), True, 0, -20])
+def test_fit_rejects_budgets_that_are_not_positive_integers(bad):
+    config = ProtocolConfig(k=2, n=10, eta=0.2)
+    with pytest.raises(InvalidConfig, match=f"got {re.escape(repr(bad))}$"):
+        fit_exponent(config, CORRELATED, UNIFORM, budget_grid=[bad, 40, 60, 80])
+
+
+def test_fit_takes_any_integer_type_as_a_budget():
+    config = ProtocolConfig(k=2, n=10, eta=0.2)
+    fit = fit_exponent(config, CORRELATED, UNIFORM, budget_grid=[np.int64(20), 40, 60, 80])
+    assert [n for n, _ in fit.points] == [20, 40, 60, 80]
+    assert type(fit.points[0][0]) is int
 
 
 def test_fit_requires_distinct_budgets():

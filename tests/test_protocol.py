@@ -33,6 +33,7 @@ from seqht import (
     simulate_batch,
 )
 import seqht.protocol
+from _oracles import float_replay
 from seqht.rng import (
     categorical_cdf,
     categorical_thresholds,
@@ -238,9 +239,140 @@ def test_typicality_of_one_vector_is_the_array_test(counts, eta, offsets, ulps, 
     rule = seqht.protocol._DecisionRule(cfg, Pmf.from_probs(np.full(len(counts), 1 / len(counts))))
     margin = cfg.reject_margin(1) if early else None
     c = np.array(counts)
-    one = rule.typical_one(c, total, target, margin)
-    assert type(one) is bool
-    assert one == bool(rule.typical(c, total, target, margin))
+    windows = rule.windows(total, target, margin).tolist()
+    inside = [lo <= count <= hi for count, (lo, hi) in zip(counts, windows)]
+    assert inside == rule.symbol_ok(c, total, target, margin).tolist()
+    assert all(inside) == bool(rule.typical(c, total, target, margin))
+
+
+def _window_cases():
+    # Exact boundaries: at N = 4 and 8, |c/N - 0.25| equals 0.25 for c = 0
+    # and c = N/2, and for (2,3,1)/6 several counts of 6 and 12 sit 1/6 off.
+    yield [0.25, 0.75], 4, 2, 0.25
+    yield [2 / 6, 3 / 6, 1 / 6], 6, 2, 1 / 6
+    yield [2 / 6, 3 / 6, 1 / 6], 1, 12, 1 / 6
+    yield [0.0, 1.0], 3, 100, 0.01  # zero and unit probabilities
+    yield [0.2, 0.0, 0.8], 7, 40, 1.0  # eta >= 1: every count passes
+    yield [0.5, 0.5], 1, 300, 2.5
+    yield [0.5, 0.5], 1, 9, 1e-3  # odd totals: empty windows
+    yield [1.0], 2, 5, 0.1  # one symbol
+    rng = np.random.default_rng(2024)
+    for case in range(60):
+        size = int(rng.integers(1, 5))
+        probs = rng.dirichlet(np.ones(size))
+        if case % 4 == 0 and size > 1:
+            probs[rng.integers(size)] = 0.0
+        k = int(rng.integers(1, 31))
+        n = int(rng.integers(1, 300 // k + 1))
+        eta = float(rng.choice([rng.uniform(1e-3, 0.5), rng.uniform(1.0, 1.5)], p=[0.9, 0.1]))
+        yield (probs / probs.sum()).tolist(), k, n, eta
+
+
+@pytest.mark.parametrize("probs, k, n, eta", list(_window_cases()))
+def test_count_windows_hold_exactly_the_counts_the_float_test_passes(probs, k, n, eta):
+    pmf = Pmf.from_probs(probs)
+    cfg = ProtocolConfig(k=k, n=n, eta=eta, policy_kind="early_decide")
+    rule = seqht.protocol._DecisionRule(cfg, pmf, pmf)
+    empty = 0
+    for t in range(1, n + 1):
+        total = t * k
+        tables = [(rule.x_rounds[t - 1].tolist(), eta)]
+        if t < n:
+            tables.append((rule.y_early[t - 1].tolist(), cfg.reject_margin(t)))
+        else:
+            tables += [(windows, eta) for windows in rule.horizon]
+        for windows, margin in tables:
+            for p, (lo, hi) in zip(pmf.probs, windows):
+                passes = rule.symbol_ok(np.arange(total + 1), total, p, margin)
+                assert passes.tolist() == [lo <= c <= hi for c in range(total + 1)]
+                empty += lo > hi
+    if probs == [0.5, 0.5] and eta == 1e-3:
+        assert empty > 0
+
+
+def test_reject_margins_equal_the_scalar_margins_bit_for_bit():
+    for n in (1, 2, 3, 7, 10, 97, 250, 1000, 4096):
+        for eta in (0.05, 0.1, 0.2, 1 / 3, 0.3, default_eta(n, 2), 1, 2.5):
+            cfg = ProtocolConfig(k=2, n=n, eta=eta, policy_kind="early_decide")
+            rule = seqht.protocol._DecisionRule(cfg, marginals(P_JOINT)[0])
+            scalar = [cfg.reject_margin(t).hex() for t in range(1, n)]
+            assert rule.reject_margins.tolist() == [float.fromhex(h) for h in scalar]
+            assert [m.hex() for m in rule.reject_margins.tolist()] == scalar
+
+
+_NULLS = {
+    (2, 2): (P_JOINT, Q_UNIFORM),
+    (2, 3): (
+        JointPmf.from_probs([[0.3, 0.1, 0.1], [0.05, 0.15, 0.3]]),
+        JointPmf.from_probs(np.full((2, 3), 1 / 6)),
+    ),
+    (3, 2): (
+        JointPmf.from_probs([[0.3, 0.05], [0.1, 0.15], [0.1, 0.3]]),
+        JointPmf.from_probs([[0.1, 0.2], [0.3, 0.1], [0.2, 0.1]]),
+    ),
+}
+
+
+def test_run_protocol_keeps_the_float_verdicts():
+    outcomes = set()
+    for i in range(512):
+        shape = list(_NULLS)[i % 3]
+        null, alternative = _NULLS[shape]
+        encoder = ("one_bit", "full_type")[i // 3 % 2]
+        policy = ("fixed_horizon", "early_decide")[i // 6 % 2]
+        hypothesis = ("H0", "H1")[i // 12 % 2]
+        cfg = ProtocolConfig(
+            k=1 + i % 4,
+            n=2 + i % 11,
+            eta=(0.1, 0.15, 0.25)[i // 24 % 3],
+            encoder_kind=encoder,
+            policy_kind=policy,
+        )
+        source = SourceModel(hypothesis, null if hypothesis == "H0" else alternative, i)
+        trace = run_protocol(cfg, null, source)
+        verdicts, bits, rows = float_replay(cfg, null, trace.x_seq, trace.y_seq)
+        assert list(trace.per_step_verdicts) == verdicts
+        if encoder == "one_bit":
+            assert [m.payload for m in trace.messages] == bits
+        else:
+            assert [m.payload.counts.tolist() for m in trace.messages] == rows
+        outcomes.add((shape, policy, trace.decision, trace.stopping_time < cfg.n))
+    for shape in _NULLS:
+        assert {(d, early) for s, pol, d, early in outcomes if s == shape} >= {
+            (ACCEPT, False),
+            (REJECT, False),
+            (REJECT, True),
+        }
+
+
+@pytest.mark.parametrize(
+    "encoder, policy, k",
+    [
+        ("one_bit", "fixed_horizon", 2),
+        ("full_type", "fixed_horizon", 3),
+        ("one_bit", "early_decide", 2),
+        ("full_type", "early_decide", 1),
+    ],
+)
+def test_membership_keeps_the_float_verdicts_on_every_pair(encoder, policy, k):
+    # eta = 0.25 puts counts of 3 of 6 exactly on the margin of 0.75.
+    cfg = ProtocolConfig(k=k, n=6 // k, eta=0.25, encoder_kind=encoder, policy_kind=policy)
+    seqs = [tuple((code >> b) & 1 for b in range(6)) for code in range(64)]
+    seen = set()
+    for x in seqs:
+        for y in seqs:
+            verdicts = float_replay(cfg, P_JOINT, x, y)[0]
+            for xs, ys in ((x, y), (list(x), list(y)), (np.array(x), np.array(y))):
+                if len(verdicts) < cfg.n:
+                    with pytest.raises(BadLength):
+                        acceptance_region_membership(cfg, P_JOINT, xs, ys)
+                else:
+                    member = acceptance_region_membership(cfg, P_JOINT, xs, ys)
+                    assert member == (verdicts[-1] == ACCEPT)
+            seen.add((len(verdicts), verdicts[-1]))
+    assert {v for _, v in seen} == {ACCEPT, REJECT}
+    if policy == "early_decide":
+        assert any(t < cfg.n for t, _ in seen)
 
 
 # Joints of 1x1 to 3x3 cells, zero cells anywhere.
