@@ -3,6 +3,8 @@
 Subcommands: ``exponent`` (solve for the optimal exponent), ``simulate``
 (exact or Monte Carlo error evaluation), ``fit`` (empirical exponent slope
 over a budget grid), ``verify`` (exact small-horizon identity checks).
+Each takes ``--config`` and ``--out``; ``simulate`` and ``verify`` take
+``--seed``; ``simulate`` alone takes ``--threads``, ``--method``, ``--trials``.
 
 Every command is a pure function of the config file and the seed: validation
 happens before any computation, and output files are written byte-identically
@@ -108,13 +110,6 @@ def _parse_protocol(raw: Mapping[str, Any]) -> ProtocolConfig:
     )
 
 
-def _resolve(args, raw: Mapping[str, Any], key: str, default):
-    override = getattr(args, key, None)
-    if override is not None:
-        return override
-    return raw.get(key, default)
-
-
 def _resolve_int(args, raw: Mapping[str, Any], key: str, default: int) -> int:
     override = getattr(args, key, None)
     if override is not None:
@@ -183,7 +178,7 @@ def cmd_simulate(args) -> int:
     p = _parse_joint(raw, "P_XY")
     q = _parse_joint(raw, "Q_XY")
     config = _parse_protocol(raw)
-    method = _resolve(args, raw, "method", "exact")
+    method = raw.get("method", "exact") if args.method is None else args.method
     if method not in ("exact", "mc"):
         raise InvalidConfig(f"method must be 'exact' or 'mc', got {method!r}")
     if method == "mc":
@@ -341,20 +336,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, config_required=True):
         sp.add_argument("--config", required=config_required, help="JSON experiment config")
-        sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out", default=None, help="also write output to this file")
-        sp.add_argument("--threads", type=int, default=1, help="worker cap (output-invariant)")
 
     sp = sub.add_parser("exponent", help="solve for the optimal type-II exponent")
     common(sp)
     sp = sub.add_parser("simulate", help="evaluate error probabilities")
     common(sp)
+    sp.add_argument("--seed", type=int, default=None, help="override the config seed")
+    sp.add_argument("--threads", type=int, default=1, help="worker cap (output-invariant)")
     sp.add_argument("--method", choices=("exact", "mc"), default=None)
     sp.add_argument("--trials", type=int, default=None)
     sp = sub.add_parser("fit", help="fit the empirical exponent over a budget grid")
     common(sp)
     sp = sub.add_parser("verify", help="run exact identity/inequality checks")
     common(sp, config_required=False)
+    sp.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
 

@@ -1,4 +1,6 @@
-"""Semantic exception hierarchy shared across the toolkit."""
+"""Semantic exception hierarchy shared across the toolkit, and scalar checks."""
+
+import numbers
 
 
 class SeqHTError(Exception):
@@ -49,3 +51,19 @@ class HorizonTooLarge(SeqHTError, ValueError):
 
 class InvalidConfig(SeqHTError, ValueError):
     """Experiment configuration failed validation before execution."""
+
+
+def _integer(name: str, value, positive: bool = True) -> int:
+    """``value`` as an int, or ``InvalidConfig`` naming ``name``. A bool is
+    not a count, and a float is an error, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (positive and value < 1):
+        raise InvalidConfig(f"{name} must be {'a positive' if positive else 'an'} integer, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float, or ``InvalidConfig`` naming ``name``: a bool or
+    a numeric string is not a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidConfig(f"{name} must be a real number, got {value!r}")
+    return float(value)

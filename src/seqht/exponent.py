@@ -23,6 +23,8 @@ from .errors import (
     InvalidConfig,
     NotStrictlyPositive,
     UnsupportedAlphabetSize,
+    _integer,
+    _real,
 )
 from .prob import JointPmf, kl_divergence
 
@@ -40,10 +42,10 @@ class SolverOptions:
     max_iterations: int = 100_000
 
     def __post_init__(self):
+        object.__setattr__(self, "tolerance", _real("tolerance", self.tolerance))
+        object.__setattr__(self, "max_iterations", _integer("max_iterations", self.max_iterations))
         if not (self.tolerance > 0):
             raise InvalidConfig(f"tolerance must be > 0, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise InvalidConfig(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)

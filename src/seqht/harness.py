@@ -33,7 +33,6 @@ a stopped-set log-probability bound).
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
@@ -47,6 +46,7 @@ from .errors import (
     LengthMismatch,
     NotStrictlyPositive,
     TooLarge,
+    _integer,
 )
 from .prob import JointPmf, Pmf, kl_divergence
 from .protocol import (
@@ -179,32 +179,21 @@ def _check_instance(p: JointPmf, q: JointPmf):
         )
 
 
-def _binom_logpmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
-    """log P(Bin(n, p) = k) for integer k in 0..n.
-
-    Term for term the formula of ``scipy.stats.binom.logpmf``. Do not swap in
-    a more accurate log-pmf: the lgamma rounding of this formula is
-    systematic (about 1e-10 relative at N = 2000 against a 50-digit
-    evaluation), and alpha = -expm1(log accept) inherits it, so a different
-    formula moves alpha by more than the 1e-12 that the committed reference
-    values are checked to. For the same reason alpha stays the complement of
-    the accept mass rather than a sum over the reject region.
-    ``_binom_rows`` is the same formula read from tables, for many n at one p.
-    """
-    k = np.asarray(k, dtype=np.float64)
-    combiln = gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1))
-    return combiln + xlogy(k, p) + xlog1py(n - k, -p)
-
-
 def _binom_rows(lg: np.ndarray, p: float) -> Callable[[int], np.ndarray]:
-    """``n -> _binom_logpmf(arange(n + 1), n, p)`` for n = 0..lg.size - 2.
+    """``n -> scipy.stats.binom.logpmf(arange(n + 1), n, p)``, bit for bit,
+    for n = 0..lg.size - 2.
 
     ``lg`` is ``gammaln(arange(top + 2))``. The terms c * log(p) and
     c * log1p(-p) are tabulated once for c = 0..top, each from a single
     ``xlogy(1, p)`` / ``xlog1py(1, -p)``, with the c = 0 term 0 as xlogy and
-    xlog1py give it. A row is then ``_binom_logpmf``'s sum over slices of the
-    tables, term for term and in its order, so each value is the same double
-    at a fraction of the cost.
+    xlog1py give it. A row is then scipy's formula over slices of the
+    tables, term for term and in its order. Do not swap in a more accurate
+    log-pmf: the lgamma rounding of this formula is systematic (about 1e-10
+    relative at N = 2000 against a 50-digit evaluation), and alpha =
+    -expm1(log accept) inherits it, so a different formula moves alpha by
+    more than the 1e-12 that the committed reference values are checked to.
+    For the same reason alpha stays the complement of the accept mass rather
+    than a sum over the reject region.
     """
     c = np.arange(1, lg.size - 1, dtype=np.float64)
     hit = np.concatenate(([0.0], c * xlogy(1, p)))
@@ -219,7 +208,7 @@ def _binom_rows(lg: np.ndarray, p: float) -> Callable[[int], np.ndarray]:
 def _logsumexp(a: np.ndarray) -> float:
     """``scipy.special.logsumexp`` of a 1-d array, operation for operation, at
     a tenth of its cost per call on short arrays. The committed reference
-    values carry scipy's rounding (see ``_binom_logpmf``), so the arithmetic
+    values carry scipy's rounding (see ``_binom_rows``), so the arithmetic
     must stay scipy's: the maxima leave the sum and return through log1p."""
     a_max = a.max()
     if a_max == -np.inf:
@@ -389,14 +378,15 @@ def _exact_binary(
     rejects = []
     if config.policy_kind is PolicyKind.EARLY_DECIDE:
         rejects = [~_binary_mask(w, t * k) for t, w in enumerate(rule.y_early.tolist(), 1)]
+    lg = gammaln(np.arange(total + 2))
     log_accepts, e_ts = [], []
     for joint in (m.probs for m in measures):
         ry0 = joint[0, 0] + joint[1, 0]
         e_t = float(n)
         if not rejects:
-            law = _binom_logpmf(np.arange(total + 1), total, ry0)
+            law = _binom_rows(lg, ry0)(total)
         else:
-            step = _binom_logpmf(np.arange(k + 1), k, ry0).tolist()
+            step = _binom_rows(lg, ry0)(k).tolist()
             law = np.zeros(1)  # index: count of y = 0 so far
             for t in range(1, n + 1):
                 grown = np.full(law.size + k, -np.inf)
@@ -476,27 +466,20 @@ def _exact_general(
     """
     total = config.total_samples
     nx, ny = p.probs.shape
-    counts = np.arange(total + 1)
-    # ok[s][c]: whether count c of symbol s lies in its window.
-    ok_x, ok_y = (
-        (counts >= lo[:, None]) & (counts <= hi[:, None])
-        for lo, hi in (np.array(w).T for w in _rule(config, p).horizon)
-    )
-    ok_x = ok_x.tolist()
+    x_windows, y_windows = _rule(config, p).horizon  # [lo, hi] of each symbol
     # The only count of a one-symbol alphabet is N, and it is typical.
-    reject_empty = all(len(ok) == 1 or np.all(ok) for ok in (ok_x, ok_y))
+    reject_empty = all(len(w) == 1 or w == [[0, total]] * len(w) for w in (x_windows, y_windows))
     layers = len(measures)
     e_ts = [float(config.n)] * layers
-    if not (np.any(ok_x, axis=1).all() and ok_y.any(axis=1).all()):
+    if any(lo > hi for lo, hi in x_windows + y_windows):
         return _pinned([-np.inf] * layers, reject_empty), e_ts
-    lows = [row.index(True) for row in ok_x]
-    tops = [total - row[::-1].index(True) for row in ok_x]
-    shape = tuple(int(np.nonzero(row)[0][-1]) + 1 for row in ok_y[:-1])
+    lows, tops = zip(*x_windows)
+    shape = tuple(hi + 1 for _, hi in y_windows[:-1])
 
     tables, prefixes = tops[-1] + 1, 1
-    for row, top in zip(ok_x[:-1], tops[:-1]):
+    for lo, top in zip(lows[:-1], tops[:-1]):
         tables += prefixes * (top + 1)
-        prefixes *= sum(row)
+        prefixes *= top - lo + 1
     work = tables * math.prod(shape)
     if work > DEFAULT_CELL_BUDGET:
         raise TooLarge(
@@ -512,19 +495,19 @@ def _exact_general(
     # The y-box at the horizon is the backward table for m = 0.
     in_box = np.ones(shape, dtype=bool)
     y_sum = np.zeros(shape, dtype=np.int64)
-    for j, size in enumerate(shape):
+    for j, ((lo, _), size) in enumerate(zip(y_windows, shape)):
         v = np.arange(size).reshape(tuple(size if a == j else 1 for a in range(len(shape))))
-        in_box = in_box & ok_y[j][v]
+        in_box = in_box & (v >= lo)
         y_sum = y_sum + v
-    last = total - y_sum
-    in_box &= (last >= 0) & ok_y[-1][np.maximum(last, 0)]
+    last = total - y_sum  # the box's lower ends are >= 0
+    in_box &= (last >= y_windows[-1][0]) & (last <= y_windows[-1][1])
     back = np.broadcast_to(np.where(in_box, 0.0, -np.inf), (layers,) + shape)
     backs = {}  # only the last-row counts that some typical a can leave
-    first = total - sum(tops[:-1])
+    first = max(total - sum(tops[:-1]), lows[-1])
     for m in range(min(tops[-1], total - sum(lows[:-1])) + 1):
         if m:
             back = _log_step(back, log_rows[-1], forward=False)
-        if m >= first and ok_x[-1][m]:
+        if m >= first:
             backs[m] = back.reshape(layers, -1)
 
     lg = gammaln(np.arange(total + 2)).tolist()
@@ -542,7 +525,7 @@ def _exact_general(
         for a in range(min(tops[i], rest - floor) + 1):
             if a:
                 table = _log_step(table, log_rows[i], forward=True)
-            if ok_x[i][a] and rest - a <= ceiling:
+            if a >= lows[i] and rest - a <= ceiling:
                 descend(i + 1, table, used + a, log_coef - lg[a + 1])
 
     start = np.full((layers,) + shape, -np.inf)
@@ -609,10 +592,8 @@ def monte_carlo_errors(
     work (fixed chunk size, ordered integer reduction), never the outcome.
     """
     _check_instance(p, q)
-    if trials < 1:
-        raise InvalidConfig(f"trials must be >= 1, got {trials}")
-    if threads < 1:
-        raise InvalidConfig(f"threads must be >= 1, got {threads}")
+    trials, threads = _integer("trials", trials), _integer("threads", threads)
+    seed = _integer("seed", seed, positive=False)
 
     def _run(hyp_index: int, joint: JointPmf) -> tuple[np.ndarray, np.ndarray]:
         master = int(derive_seed(seed, hyp_index))
@@ -669,13 +650,7 @@ def fit_exponent(
     Each point evaluates the alternative only, since alpha is never read;
     its -ln(beta) is the same double ``exact_errors`` reports.
     """
-    grid = list(budget_grid)
-    for v in grid:
-        # As for ProtocolConfig's k and n: a bool is not a count, and a float
-        # budget is an error, never truncated.
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-            raise InvalidConfig(f"budget_grid entries must be positive integers, got {v!r}")
-    budgets = sorted(int(v) for v in grid)
+    budgets = sorted(_integer("budget_grid entry", v) for v in budget_grid)
     if len(budgets) < 4:
         raise InvalidConfig(f"need at least 4 grid points, got {len(budgets)}")
     if budgets[0] == budgets[-1]:

@@ -11,6 +11,7 @@ many probabilities are only ever formed in log domain.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -47,8 +48,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _real_array(raw) -> np.ndarray:
+    """``raw`` as a float64 array; ``InvalidDistribution`` unless its rows are
+    of equal length and hold real numbers (a bool or a string is not one)."""
+    if not isinstance(raw, np.ndarray) or raw.dtype.kind not in "iuf":
+        raw = np.asarray(raw, dtype=object)
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in raw.flat):
+            raise InvalidDistribution("probabilities must be a rectangular array of real numbers")
+    return raw.astype(np.float64, copy=False)
+
+
 def _validated_probs(raw, shape_kind: str) -> np.ndarray:
-    a = np.asarray(raw, dtype=np.float64)
+    a = _real_array(raw)
     if shape_kind == "vector" and a.ndim != 1:
         raise InvalidDistribution(f"expected a 1-d probability vector, got shape {a.shape}")
     if shape_kind == "matrix" and a.ndim != 2:
@@ -113,7 +124,7 @@ class Pmf(_ArrayValue):
 
     @classmethod
     def from_probs(cls, probs) -> "Pmf":
-        a = np.asarray(probs, dtype=np.float64)
+        a = _real_array(probs)
         return cls(Alphabet(a.shape[0]), a)
 
 
@@ -161,7 +172,7 @@ class JointPmf(_ArrayValue):
 
     @classmethod
     def from_probs(cls, probs) -> "JointPmf":
-        a = np.asarray(probs, dtype=np.float64)
+        a = _real_array(probs)
         if a.ndim != 2:
             raise InvalidDistribution(f"expected a 2-d matrix, got shape {a.shape}")
         return cls(Alphabet(a.shape[0]), Alphabet(a.shape[1]), a)
@@ -169,15 +180,13 @@ class JointPmf(_ArrayValue):
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalType(_ArrayValue):
-    """Integer count vector/matrix of an observed sequence.
+    """Integer count vector of an observed sequence over one alphabet.
 
-    ``counts`` is 1-d for a single source and 2-d for a joint observation;
     ``total`` always equals the observed sequence length.
     """
 
     counts: np.ndarray
     alphabet_x: Alphabet
-    alphabet_y: Alphabet | None = None
 
     def __post_init__(self):
         raw = np.asarray(self.counts)
@@ -191,34 +200,23 @@ class EmpiricalType(_ArrayValue):
         flat = c.ravel().tolist()
         if min(flat, default=0) < 0:
             raise InvalidDistribution("counts must be nonnegative")
-        expected = (self.alphabet_x.size,) if self.alphabet_y is None else (
-            self.alphabet_x.size,
-            self.alphabet_y.size,
-        )
-        if c.shape != expected:
-            raise AlphabetMismatch(f"counts shape {c.shape}, expected {expected}")
+        if c.shape != (self.alphabet_x.size,):
+            raise AlphabetMismatch(f"counts shape {c.shape}, expected {(self.alphabet_x.size,)}")
         if sum(flat) < 1:
             raise InvalidDistribution("total count must be positive")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 
     def _parts(self):
-        return (self.alphabet_x, self.alphabet_y), self.counts
+        return (self.alphabet_x,), self.counts
 
     @property
     def total(self) -> int:
         return int(self.counts.sum())
 
-    @property
-    def is_joint(self) -> bool:
-        return self.alphabet_y is not None
-
-    def frequencies(self) -> Pmf | JointPmf:
-        """Normalized view counts/total, as a valid Pmf or JointPmf."""
-        f = self.counts / self.total
-        if self.is_joint:
-            return JointPmf(self.alphabet_x, self.alphabet_y, f)
-        return Pmf(self.alphabet_x, f)
+    def frequencies(self) -> Pmf:
+        """Normalized view counts/total, as a valid Pmf."""
+        return Pmf(self.alphabet_x, self.counts / self.total)
 
 
 def _require_same_alphabet(p: Pmf | JointPmf, q: Pmf | JointPmf):
@@ -251,29 +249,15 @@ def marginals(j: JointPmf) -> tuple[Pmf, Pmf]:
     return j._marginals
 
 
-def _symbols(seq: Sequence[int], alphabet: Alphabet) -> np.ndarray:
-    """The sequence as an int64 array, checked to hold only symbols of the alphabet.
+def _symbol_list(seq: Sequence[int], alphabet: Alphabet) -> list[int]:
+    """The sequence as a list of Python ints, checked to hold only symbols of
+    the alphabet.
 
     Symbols must be integers: a float or bool sequence is an error, never
-    truncated. An empty sequence passes (its dtype says nothing).
-    """
-    s = np.asarray(seq)
-    if s.dtype.kind not in "iu" and s.size:
-        raise AlphabetMismatch(f"sequence symbols must be integers, got dtype {s.dtype}")
-    s = s.astype(np.int64, copy=False)
-    # One comparison checks both ends: a negative int64 reads as a uint64 >= 2**63.
-    if (s.view(np.uint64) >= alphabet.size).any():
-        raise AlphabetMismatch("sequence symbol outside the alphabet")
-    return s
-
-
-def _symbol_list(seq: Sequence[int], alphabet: Alphabet) -> list[int]:
-    """``_symbols(seq, alphabet)`` as a list of Python ints.
-
-    A list or tuple of Python ints in range is checked without numpy: on the
-    few symbols of a protocol round, numpy's fixed cost per call is several
-    times the check. Anything else (floats, bools, numpy values, symbols out
-    of range) goes through ``_symbols``, with its errors.
+    truncated. An empty sequence passes (its dtype says nothing). A list or
+    tuple of Python ints in range is checked without numpy: on the few
+    symbols of a protocol round, numpy's fixed cost per call is several
+    times the check.
     """
     if (
         type(seq) in (list, tuple)
@@ -282,7 +266,14 @@ def _symbol_list(seq: Sequence[int], alphabet: Alphabet) -> list[int]:
         and max(seq) < alphabet.size
     ):
         return list(seq)
-    return _symbols(seq, alphabet).tolist()
+    s = np.asarray(seq)
+    if s.dtype.kind not in "iu" and s.size:
+        raise AlphabetMismatch(f"sequence symbols must be integers, got dtype {s.dtype}")
+    s = s.astype(np.int64, copy=False)
+    # One comparison checks both ends: a negative int64 reads as a uint64 >= 2**63.
+    if (s.view(np.uint64) >= alphabet.size).any():
+        raise AlphabetMismatch("sequence symbol outside the alphabet")
+    return s.tolist()
 
 
 def _tally(seq: Sequence[int], alphabet: Alphabet) -> list[int]:
@@ -296,27 +287,9 @@ def _tally(seq: Sequence[int], alphabet: Alphabet) -> list[int]:
     return [s.count(v) for v in range(alphabet.size)]
 
 
-def empirical_type(
-    seq_x: Sequence[int],
-    alphabet_x: Alphabet,
-    seq_y: Sequence[int] | None = None,
-    alphabet_y: Alphabet | None = None,
-) -> EmpiricalType:
-    """Tally a symbol sequence (or an aligned pair of sequences) into counts."""
-    if seq_y is None:
-        return EmpiricalType(_tally(seq_x, alphabet_x), alphabet_x)
-    x = _symbols(seq_x, alphabet_x)
-    if x.size == 0:
-        raise LengthMismatch("cannot take the type of an empty sequence")
-    if alphabet_y is None:
-        raise AlphabetMismatch("joint type requires the second alphabet")
-    y = np.asarray(seq_y)
-    if y.size != x.size:
-        raise LengthMismatch(f"sequence lengths differ: {x.size} vs {y.size}")
-    y = _symbols(y, alphabet_y)
-    flat = x * alphabet_y.size + y
-    counts = np.bincount(flat, minlength=alphabet_x.size * alphabet_y.size)
-    return EmpiricalType(counts.reshape(alphabet_x.size, alphabet_y.size), alphabet_x, alphabet_y)
+def empirical_type(seq_x: Sequence[int], alphabet_x: Alphabet) -> EmpiricalType:
+    """Tally a symbol sequence into counts."""
+    return EmpiricalType(_tally(seq_x, alphabet_x), alphabet_x)
 
 
 def linf_distance(t: EmpiricalType | Pmf | JointPmf, p: Pmf | JointPmf) -> float:

@@ -40,6 +40,8 @@ from .errors import (
     InconsistentMessages,
     InvalidConfig,
     LengthMismatch,
+    _integer,
+    _real,
 )
 from .prob import (
     EmpiricalType,
@@ -47,7 +49,6 @@ from .prob import (
     Pmf,
     _symbol_list,
     _tally,
-    empirical_type,
     marginals,
 )
 from .rng import random_bits_into, uniform_ints
@@ -81,7 +82,8 @@ class ProtocolConfig:
     expected stopping time meets its budget with certainty), ``k`` is the
     samples-per-round block size, ``eta`` the typicality margin, and
     ``epsilon`` the type-I error budget the margin is meant to honor.
-    ``eta >= 1`` is legal and makes every sequence typical.
+    ``eta >= 1`` is legal and makes every sequence typical. Both are kept as
+    Python floats, so ``reject_margin`` computes in float64 as the windows do.
     """
 
     k: int
@@ -93,14 +95,9 @@ class ProtocolConfig:
 
     def __post_init__(self):
         for name in ("k", "n"):
-            value = getattr(self, name)
-            # A bool is an Integral, but True is not a count.
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise InvalidConfig(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in ("eta", "epsilon"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise InvalidConfig(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not (self.eta > 0):
             raise InvalidConfig(f"eta must be > 0, got {self.eta}")
         if not (0.0 < self.epsilon < 1.0):
@@ -332,20 +329,25 @@ def _inside(counts: Sequence[int], windows: Sequence[Sequence[int]]) -> bool:
     return True
 
 
+def _payload(rule: _DecisionRule, t: int, x_counts: list[int]) -> int | EmpiricalType:
+    """Round t's message payload for the x counts of its t*k samples: the
+    typicality bit, or the type itself."""
+    if rule.config.encoder_kind is EncoderKind.ONE_BIT:
+        return int(_inside(x_counts, rule.x_rounds[t - 1].tolist()))
+    return EmpiricalType(x_counts, rule.p_x.alphabet)
+
+
 def encode(config: ProtocolConfig, x_prefix: Sequence[int], p_x: Pmf) -> Message:
-    """Sensor compression of everything observed so far.
+    """Sensor compression of everything observed by round t <= n.
 
     One-bit: sends 1 iff the empirical x-type is typical for the null
-    marginal. Full-type: sends the empirical type itself.
+    marginal. Full-type: sends the empirical type itself. A prefix past the
+    horizon raises ``InvalidConfig``, as ``decide`` does.
     """
     t = _blocked_length(config, len(x_prefix))
-    if config.encoder_kind is EncoderKind.ONE_BIT:
-        counts = _tally(x_prefix, p_x.alphabet)
-        rule = _rule(config, p_x)
-        # Past the horizon, which no protocol run reaches, there is no row.
-        windows = rule.x_rounds[t - 1] if t <= config.n else rule.windows(len(x_prefix), p_x.probs)
-        return Message(step=t, payload=int(_inside(counts, windows.tolist())))
-    return Message(step=t, payload=empirical_type(x_prefix, p_x.alphabet))
+    if t > config.n:
+        raise InvalidConfig(f"round {t} beyond the horizon n={config.n}")
+    return Message(step=t, payload=_payload(_rule(config, p_x), t, _tally(x_prefix, p_x.alphabet)))
 
 
 def decide(
@@ -403,7 +405,7 @@ def _decide(
     else:
         if not isinstance(payload, EmpiricalType):
             raise InconsistentMessages("full-type decider received a non-type payload")
-        if payload.is_joint or payload.alphabet_x != rule.p_x.alphabet:
+        if payload.alphabet_x != rule.p_x.alphabet:
             raise AlphabetMismatch("full-type payload is not a type over the x-alphabet")
         x_ok = _inside(payload.counts.tolist(), x_windows)
     return ACCEPT if (x_ok and y_ok) else REJECT
@@ -468,14 +470,10 @@ def run_protocol(config: ProtocolConfig, p_null: JointPmf, source: SourceModel) 
     x, y = (v.tolist() for v in np.divmod(draws, source.joint.alphabet_y.size))
     verdicts, x_counts = _replay(rule, x, y)
     t = len(verdicts)
-    if config.encoder_kind is EncoderKind.ONE_BIT:
-        payloads = [int(_inside(c, w)) for c, w in zip(x_counts, rule.x_rounds[:t].tolist())]
-    else:
-        payloads = [EmpiricalType(c, rule.p_x.alphabet) for c in x_counts]
     played = t * config.k
     return Trace(
         stopping_time=t,
-        messages=tuple(Message(step=s, payload=p) for s, p in enumerate(payloads, 1)),
+        messages=tuple(Message(step=s, payload=_payload(rule, s, c)) for s, c in enumerate(x_counts, 1)),
         feedback_bits=(1,) * (t - 1) + (0,),
         decision=verdicts[-1],
         x_seq=tuple(x[:played]),

@@ -35,7 +35,7 @@ from scipy.stats import binom
 
 from seqht.errors import InvalidConfig
 from seqht.exponent import _check_joint_pair
-from seqht.harness import ErrorReport, _binom_logpmf, _exact_report
+from seqht.harness import ErrorReport, _exact_report
 from seqht.prob import JointPmf, kl_divergence, marginals
 from seqht.protocol import ACCEPT, CONTINUE, REJECT, PolicyKind, ProtocolConfig, _DecisionRule
 
@@ -88,7 +88,7 @@ def early_binary_outcome(
     total = n * k
     ry0 = joint[0, 0] + joint[1, 0]
     ry1 = joint[0, 1] + joint[1, 1]
-    inc = np.exp(_binom_logpmf(np.arange(k + 1), k, ry0))
+    inc = np.exp(binom.logpmf(np.arange(k + 1), k, ry0))
 
     surv = np.array([1.0])  # index = count of y=0 after t rounds
     reject_mass = 0.0
@@ -118,8 +118,8 @@ def early_binary_outcome(
             accept_mass += float(surv[b])
             continue
         x_dist = np.convolve(
-            np.exp(_binom_logpmf(np.arange(b + 1), b, u0)),
-            np.exp(_binom_logpmf(np.arange(total - b + 1), total - b, u1)),
+            np.exp(binom.logpmf(np.arange(b + 1), b, u0)),
+            np.exp(binom.logpmf(np.arange(total - b + 1), total - b, u1)),
         )
         p_x_ok = float(x_dist[x_mask].sum())
         accept_mass += float(surv[b]) * p_x_ok

@@ -380,6 +380,19 @@ def test_bad_scalar_field_is_a_validation_error(tmp_path, capsys, command, body,
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,flag",
+    [("exponent", "--seed"), ("exponent", "--threads"), ("fit", "--seed"), ("fit", "--threads"),
+     ("verify", "--threads")],
+)
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys, command, flag):
+    cfg = write_config(tmp_path, **SIM, protocol={"k": 2, "n": 10}, N_grid=[20, 40, 60, 80])
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--config", cfg, flag, "2"])
+    assert exc.value.code == EXIT_VALIDATION
+    assert flag in capsys.readouterr().err
+
+
 def test_import_leaves_scipy_stats_unloaded():
     src = str(Path(seqht.__file__).resolve().parents[1])
     probe = "import sys, seqht, seqht.cli; print('scipy.stats' in sys.modules)"

@@ -99,6 +99,13 @@ def test_solver_options_validation():
         SolverOptions(tolerance=0.0)
     with pytest.raises(InvalidConfig):
         SolverOptions(max_iterations=0)
+    # A bool is not a count or a tolerance; a fraction or a string is an error.
+    for bad in (2.5, True, "10"):
+        with pytest.raises(InvalidConfig, match="max_iterations"):
+            SolverOptions(max_iterations=bad)
+    for bad in (True, "x", None):
+        with pytest.raises(InvalidConfig, match="tolerance"):
+            SolverOptions(tolerance=bad)
 
 
 def test_unconverged_result_is_flagged_not_raised():

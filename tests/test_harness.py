@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.special import gammaln
+from scipy.stats import binom
 
 from _bruteforce import enumerate_errors
 from _oracles import (
@@ -52,7 +53,6 @@ from seqht import (
 )
 from seqht.harness import (
     _binary_log_accept,
-    _binom_logpmf,
     _binom_rows,
     _exact_binary,
     _exact_general,
@@ -259,7 +259,7 @@ def _oracle_instances():
 
 
 def _x_count_law(joint, total):
-    return _binom_logpmf(np.arange(total + 1), total, joint.probs[0].sum())
+    return binom.logpmf(np.arange(total + 1), total, joint.probs[0].sum())
 
 
 def test_binary_window_sums_match_convolution_oracle():
@@ -286,7 +286,7 @@ def test_window_masses_match_direct_sums():
     rng = np.random.default_rng(5)
     for _ in range(400):
         m = int(rng.integers(0, 40))
-        log_pmf = _binom_logpmf(np.arange(m + 1), m, float(rng.choice([0.0, rng.uniform(0, 1), 1.0])))
+        log_pmf = binom.logpmf(np.arange(m + 1), m, float(rng.choice([0.0, rng.uniform(0, 1), 1.0])))
         lo = int(rng.integers(-5, m + 10))
         hi = lo + int(rng.integers(0, m + 5))
         count = int(rng.integers(0, 50))
@@ -301,20 +301,17 @@ def test_window_masses_match_direct_sums():
 
 
 def test_binomial_log_pmf_is_scipy_formula_bit_for_bit():
-    from scipy.stats import binom
-
     lg = gammaln(np.arange(2002))
     for n, p in [(0, 0.3), (7, 0.0), (7, 1.0), (64, 0.5), (137, 0.9999), (2000, 0.1)]:
         k = np.arange(n + 1)
         expected = binom.logpmf(k, n, p)
-        assert np.array_equal(_binom_logpmf(k, n, p), expected)
         # The table form, from a table that ends at n and from a longer one.
         assert np.array_equal(_binom_rows(gammaln(np.arange(n + 2)), p)(n), expected)
         assert np.array_equal(_binom_rows(lg, p)(n), expected)
     for p in (0.0, 1e-300, 0.3, 0.5, 1.0 - 1e-12, 1.0):
         rows = _binom_rows(lg, p)
         for n in range(0, 2001, 37):
-            assert np.array_equal(rows(n), _binom_logpmf(np.arange(n + 1), n, p))
+            assert np.array_equal(rows(n), binom.logpmf(np.arange(n + 1), n, p))
 
 
 # float.hex() of (alpha, beta, log_alpha, log_beta, e_t_h0, e_t_h1) from
@@ -548,6 +545,20 @@ def test_monte_carlo_validation():
         monte_carlo_errors(config, UNIFORM, UNIFORM, trials=0, seed=1)
     with pytest.raises(InvalidConfig):
         monte_carlo_errors(config, UNIFORM, UNIFORM, trials=10, seed=1, threads=0)
+    # A bool is not a count, and a float is an error, never truncated.
+    for field, kwargs in (
+        ("trials", dict(trials=True, seed=1)),
+        ("trials", dict(trials=10.0, seed=1)),
+        ("threads", dict(trials=10, seed=1, threads=2.0)),
+        ("seed", dict(trials=10, seed=1.5)),
+        ("seed", dict(trials=10, seed=False)),
+    ):
+        with pytest.raises(InvalidConfig, match=field):
+            monte_carlo_errors(config, UNIFORM, UNIFORM, **kwargs)
+    # Any integer seed is legal; a numpy one gives the same trials.
+    assert monte_carlo_errors(config, UNIFORM, UNIFORM, trials=10, seed=np.int64(-3)) == monte_carlo_errors(
+        config, UNIFORM, UNIFORM, trials=10, seed=-3
+    )
 
 
 def test_monte_carlo_tracks_exact_within_interval():

@@ -106,6 +106,12 @@ def test_encode_one_bit_and_full_type():
         encode(cfg, [0, 0, 0], p_x)  # not a multiple of k
     with pytest.raises(BadLength):
         encode(cfg, [], p_x)
+    # Round n is the last; past it there is no message, as there is no verdict.
+    for encoder in ("one_bit", "full_type"):
+        cfg = one_bit_config(encoder_kind=encoder)
+        encode(cfg, [0] * 4 * cfg.n, p_x)
+        with pytest.raises(InvalidConfig, match="beyond the horizon"):
+            encode(cfg, [0] * 4 * (cfg.n + 1), p_x)
 
 
 def test_decide_fixed_horizon_rules():
@@ -292,7 +298,9 @@ def test_count_windows_hold_exactly_the_counts_the_float_test_passes(probs, k, n
 
 def test_reject_margins_equal_the_scalar_margins_bit_for_bit():
     for n in (1, 2, 3, 7, 10, 97, 250, 1000, 4096):
-        for eta in (0.05, 0.1, 0.2, 1 / 3, 0.3, default_eta(n, 2), 1, 2.5):
+        # A numpy eta is kept as a Python float, so the public margin is the
+        # float64 value the windows apply, not a float32 rounding of it.
+        for eta in (0.05, 0.1, 0.2, 1 / 3, 0.3, default_eta(n, 2), 1, 2.5, np.float32(0.1), np.float64(0.1)):
             cfg = ProtocolConfig(k=2, n=n, eta=eta, policy_kind="early_decide")
             rule = seqht.protocol._DecisionRule(cfg, marginals(P_JOINT)[0])
             scalar = [cfg.reject_margin(t).hex() for t in range(1, n)]
