@@ -117,6 +117,17 @@ def _resolve_int(args, raw: Mapping[str, Any], key: str, default: int) -> int:
     return _int_field(raw, key, default)
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: a flag value that must be an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _emit(text: str, out_path: str | None):
     sys.stdout.write(text)
     if out_path:
@@ -181,11 +192,13 @@ def cmd_simulate(args) -> int:
     method = raw.get("method", "exact") if args.method is None else args.method
     if method not in ("exact", "mc"):
         raise InvalidConfig(f"method must be 'exact' or 'mc', got {method!r}")
+    # The Monte Carlo inputs are checked whichever method runs (argparse
+    # checks the flags), so a bad one is never accepted and ignored.
+    trials = _resolve_int(args, raw, "trials", 0)
+    seed = _resolve_int(args, raw, "seed", 0)
+    if trials < 1 and (method == "mc" or "trials" in raw):
+        raise InvalidConfig(f"Monte Carlo needs trials >= 1, got {trials}")
     if method == "mc":
-        trials = _resolve_int(args, raw, "trials", 0)
-        if trials < 1:
-            raise InvalidConfig(f"Monte Carlo needs trials >= 1, got {trials}")
-        seed = _resolve_int(args, raw, "seed", 0)
         report = monte_carlo_errors(config, p, q, trials, seed, threads=args.threads)
     else:
         report = exact_errors(config, p, q)
@@ -343,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="evaluate error probabilities")
     common(sp)
     sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sp.add_argument("--threads", type=int, default=1, help="worker cap (output-invariant)")
+    sp.add_argument("--threads", type=_positive_int, default=1, help="worker cap (output-invariant)")
     sp.add_argument("--method", choices=("exact", "mc"), default=None)
-    sp.add_argument("--trials", type=int, default=None)
+    sp.add_argument("--trials", type=_positive_int, default=None)
     sp = sub.add_parser("fit", help="fit the empirical exponent over a budget grid")
     common(sp)
     sp = sub.add_parser("verify", help="run exact identity/inequality checks")

@@ -210,6 +210,16 @@ class EmpiricalType(_ArrayValue):
     def _parts(self):
         return (self.alphabet_x,), self.counts
 
+    @classmethod
+    def _unchecked(cls, counts: np.ndarray, alphabet_x: Alphabet) -> "EmpiricalType":
+        """A type over counts already known valid, skipping the checks: a
+        read-only int64 vector of nonnegative counts, of the alphabet's size
+        and a positive total (a row of a protocol replay's counts)."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "counts", counts)
+        object.__setattr__(value, "alphabet_x", alphabet_x)
+        return value
+
     @property
     def total(self) -> int:
         return int(self.counts.sum())

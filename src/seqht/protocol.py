@@ -239,8 +239,10 @@ class _DecisionRule:
     The table has three parts, each built on first use: ``horizon`` (lists
     of Python ints, for the scalar compares), and ``x_rounds`` and
     ``y_early`` (int64 arrays of n or n - 1 rows, 16 bytes per symbol and
-    round, whose rows the scalar readers turn into lists as they go).
-    ``_rule`` keeps one rule per config on the null pmf. ``p_y`` is None for
+    round). The one-bit messages read ``x_rounds`` as lists
+    (``x_round_lists``); the other scalar readers turn rows into lists as
+    they go, and the batch simulator reads ``y_early`` recast as
+    ``y_checks``. ``_rule`` keeps one rule per config on the null pmf. ``p_y`` is None for
     a sensor-side rule that only encodes.
     """
 
@@ -303,11 +305,39 @@ class _DecisionRule:
         return self.windows(totals, self.p_x.probs)
 
     @cached_property
+    def x_round_lists(self) -> list:
+        """``x_rounds`` as lists of Python ints, for the one-bit messages."""
+        return self.x_rounds.tolist()
+
+    @cached_property
     def y_early(self) -> np.ndarray:
         """Row t-1: the y windows at round t's reject margin over t*k
         samples, t = 1..n-1 (early-decide's reject test)."""
         totals = self.config.k * np.arange(1, self.config.n)[:, None]
         return self.windows(totals, self.p_y.probs, self.reject_margins[:, None])
+
+    @cached_property
+    def y_checks(self) -> tuple[np.ndarray, np.ndarray]:
+        """``y_early`` as (base, width), for counts held in the narrowest
+        signed type that fits -(N + 1): row c, round t - 1 passes when
+        0 <= count - base <= width, which one unsigned compare tests.
+
+        The rows check the counts of y symbols 1..ny-1 and their sum S, since
+        symbol 0 has t*k - S; with two symbols, S is symbol 1's count and the
+        two rows fold into one. An empty window gets base -1 and width 0,
+        which no count passes.
+        """
+        k, n = self.config.k, self.config.n
+        lo, hi = self.y_early.T  # lo[s, t - 1]
+        totals = k * np.arange(1, n)
+        lo, hi = np.vstack((lo[1:], totals - hi[0])), np.vstack((hi[1:], totals - lo[0]))
+        if len(lo) == 2:
+            lo, hi = lo.max(axis=0, keepdims=True), hi.min(axis=0, keepdims=True)
+        empty = hi < lo
+        wide = np.min_scalar_type(-(n * k + 1))
+        base = np.where(empty, -1, lo).astype(wide)
+        width = np.where(empty, 0, hi - lo).astype(wide.str.replace("i", "u"))
+        return base[..., None], width[..., None]
 
 
 def _rule(config: ProtocolConfig, null: JointPmf | Pmf) -> _DecisionRule:
@@ -333,7 +363,7 @@ def _payload(rule: _DecisionRule, t: int, x_counts: list[int]) -> int | Empirica
     """Round t's message payload for the x counts of its t*k samples: the
     typicality bit, or the type itself."""
     if rule.config.encoder_kind is EncoderKind.ONE_BIT:
-        return int(_inside(x_counts, rule.x_rounds[t - 1].tolist()))
+        return int(_inside(x_counts, rule.x_round_lists[t - 1]))
     return EmpiricalType(x_counts, rule.p_x.alphabet)
 
 
@@ -471,9 +501,16 @@ def run_protocol(config: ProtocolConfig, p_null: JointPmf, source: SourceModel) 
     verdicts, x_counts = _replay(rule, x, y)
     t = len(verdicts)
     played = t * config.k
+    if config.encoder_kind is EncoderKind.ONE_BIT:
+        payloads = [_payload(rule, s, c) for s, c in enumerate(x_counts, 1)]
+    else:
+        # The replay's counts are valid types: one read-only array, one row each.
+        counts = np.array(x_counts, dtype=np.int64)
+        counts.setflags(write=False)
+        payloads = [EmpiricalType._unchecked(row, rule.p_x.alphabet) for row in counts]
     return Trace(
         stopping_time=t,
-        messages=tuple(Message(step=s, payload=_payload(rule, s, c)) for s, c in enumerate(x_counts, 1)),
+        messages=tuple(Message(step=s, payload=c) for s, c in enumerate(payloads, 1)),
         feedback_bits=(1,) * (t - 1) + (0,),
         decision=verdicts[-1],
         x_seq=tuple(x[:played]),
@@ -516,13 +553,11 @@ def acceptance_region_membership(
 # then take 1 MB and stay in a 2 MB L2 cache: on 16,384 trials, hashing tiles
 # of 16 draws per trial took 5.5 ns per draw, tiles of 2 or 4 took 2.5 ns,
 # and a 16,384-trial chunk at N = 2000 ran about 10% faster with 4 than 2.
+# Early-decide checks every round of a tile once the tile is counted, so each
+# of its ufunc calls spans a whole tile too. Shorter calls lose on threads: on
+# a 2-vCPU host, an int16 add over 4K-64K elements (1-7 us a call) ran at
+# 0.5-0.7x on two threads against one, and over 256K (24 us) at 1.4x.
 _TILE_DRAWS = 65_536
-
-# Early-decide checks the y-marginal once per block of at least this many
-# rounds, filled tile by tile. With one round per check, the per-check
-# bookkeeping held the interpreter lock long enough that two threads lost
-# their scaling.
-_DECISION_ROUNDS = 8
 
 
 class _DrawTiles:
@@ -531,36 +566,58 @@ class _DrawTiles:
     ``words`` holds each threshold T_j < 2**53 as the raw word T_j << 11; a
     threshold of 2**53 is never reached and gets no word (see ``seqht.rng``).
     Tiles have at most ``rows`` draws per trial, for at most ``trials``
-    trials. Hits are summed over groups of ``group`` consecutive draws (None:
-    the whole tile) in uint8 when a group is shorter than 256 draws.
+    trials. Hits are summed over the whole tile, in uint8 when it has fewer
+    than 256 draws per trial.
+
+    Given ``ny``, the same compares also give each draw's y symbol. The cells
+    run row by row, so a draw's cell is the number of thresholds it reaches,
+    and reaching T_j moves its y symbol up by one, or back by ny - 1 where
+    cell j ends a joint row ((j + 1) % ny == 0). Those steps wrap in the
+    unsigned code and add up to the symbol.
     """
 
-    def __init__(self, thresholds: np.ndarray, trials: int, rows: int, group: int | None):
+    def __init__(self, thresholds: np.ndarray, trials: int, rows: int, ny: int | None = None):
         self.words = thresholds[thresholds < 2**53] << np.uint64(11)
-        self.group = group
         size = rows * trials
         self.bits = np.empty(size, dtype=np.uint64)
         self.scratch = np.empty(size, dtype=np.uint64)
         self.hits = np.empty(size, dtype=np.bool_)
-        narrow = (group or rows) < 256
-        self.partial = np.empty(size // (group or rows), dtype=np.uint8 if narrow else np.int64)
+        self.partial = np.empty(trials, dtype=np.uint8 if rows < 256 else np.int64)
+        self.ny = ny
+        self.codes = None if ny is None else np.empty(size, dtype=np.min_scalar_type(ny - 1))
+        self.back = np.empty_like(self.codes) if ny and ny > 2 else None
 
-    def add_counts(self, seeds: np.ndarray, start: int, rows: int, out: np.ndarray):
-        """Add to ``out[j, g]`` the number of draws of group g with word >=
-        ``words[j]``, for the tile of counters start..start+rows-1 of each
-        trial (trials last)."""
+    def add_counts(self, seeds: np.ndarray, start: int, rows: int, out: np.ndarray) -> np.ndarray | None:
+        """Add to ``out[j]`` the number of draws with word >= ``words[j]``,
+        for the tile of counters start..start+rows-1 of each trial (trials
+        last), and return the tile's y codes (None without ``ny``)."""
         trials = seeds.size
         size = rows * trials
         bits = self.bits[:size].reshape(rows, trials)
         random_bits_into(seeds, start, bits, self.scratch[:size].reshape(rows, trials))
         hits = self.hits[:size].reshape(rows, trials)
-        group = self.group or rows
-        grouped = hits.view(np.uint8).reshape(rows // group, group, trials)
-        partial = self.partial[: size // group].reshape(rows // group, trials)
+        ones = hits.view(np.uint8)
+        partial = self.partial[:trials]
+        codes = back = None
+        if self.codes is not None:
+            codes = self.codes[:size].reshape(rows, trials)
+            codes.fill(0)
+        if self.back is not None:
+            back = self.back[:size].reshape(rows, trials)
+            step_back = codes.dtype.type(self.ny - 1)
         for j, word in enumerate(self.words):
             np.greater_equal(bits, word, out=hits)
-            np.add.reduce(grouped, axis=1, out=partial)
+            np.add.reduce(ones, axis=0, out=partial)
             out[j] += partial
+            if codes is None:
+                continue
+            if (j + 1) % self.ny:
+                codes += ones
+            elif back is not None:
+                codes -= np.multiply(ones, step_back, out=back)
+            elif self.ny == 2:
+                codes -= ones
+        return codes
 
 
 def _cell_counts(above: np.ndarray, total, shape: tuple[int, int]) -> np.ndarray:
@@ -579,69 +636,71 @@ def _cell_counts(above: np.ndarray, total, shape: tuple[int, int]) -> np.ndarray
     return cells.reshape(shape + above.shape[1:])
 
 
-def _horizon_counts(seeds: np.ndarray, thresholds: np.ndarray, n: int, k: int, tile: int) -> np.ndarray:
-    """``above`` (see ``_cell_counts``) of each trial over the whole horizon,
-    hashed ``tile`` rounds at a time."""
-    above = np.zeros((thresholds.size, seeds.size), dtype=np.int64)
+def _stream_counts(
+    rule: _DecisionRule, seeds: np.ndarray, thresholds: np.ndarray, tile: int, stops: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hash and count the horizon ``tile`` rounds at a time. Returns the
+    trials that reach round n and their ``above`` (see ``_cell_counts``).
+
+    Under early-decide, each tile's y codes give the running y counts of its
+    rounds, which are checked against their windows (``rule.y_early``) for
+    every round before the horizon. A rejected trial gets its stopping round
+    in ``stops`` and is compacted out, so it draws no more.
+    """
+    n, k = rule.config.n, rule.config.k
+    ny = rule.p_y.alphabet.size
+    early = rule.config.policy_kind is PolicyKind.EARLY_DECIDE and n > 1
     rows = tile * k
-    tiles = _DrawTiles(thresholds, seeds.size, rows, None)
+    tiles = _DrawTiles(thresholds, seeds.size, rows, ny if early else None)
+    live = np.arange(seeds.size)  # trials still drawing
+    above = np.zeros((thresholds.size, seeds.size), dtype=np.int64)
     # Tiles add up in uint8, moved into ``above`` before they could wrap:
     # adding each tile straight into int64 made a 16,384-trial chunk 11%
     # slower (11 us per tile and threshold, against 26 us for the compare).
     per_flush = 255 // rows
-    sums = np.zeros((thresholds.size, 1, seeds.size), dtype=np.uint8) if per_flush else above[:, None]
+    sums = np.zeros((thresholds.size, seeds.size), dtype=np.uint8) if per_flush else above
+    if early:
+        base, width = rule.y_checks
+        per_round = np.uint8 if k < 256 else base.dtype
+        y = np.zeros((ny - 1, seeds.size), dtype=base.dtype)  # counts of y symbols 1..ny-1 so far
     for i, t0 in enumerate(range(0, n, tile), 1):
-        tiles.add_counts(seeds, t0 * k, min(tile, n - t0) * k, sums)
+        r = min(tile, n - t0)
+        codes = tiles.add_counts(seeds, t0 * k, r * k, sums)
         if per_flush and (i % per_flush == 0 or t0 + tile >= n):
-            above += sums[:, 0]
+            above += sums
             sums[:] = 0
-    return above
-
-
-def _early_reject(
-    rule: _DecisionRule,
-    seeds: np.ndarray,
-    thresholds: np.ndarray,
-    shape: tuple[int, int],
-    tile: int,
-    stops: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stream the horizon ``tile`` rounds at a time and check the y-marginal
-    of every round before the horizon against its count windows
-    (``rule.y_early``), once per block of whole tiles.
-
-    Writes the stopping round of each rejected trial into ``stops`` and
-    returns the trials never rejected with their ``above`` over the horizon.
-    """
-    n, k = rule.config.n, rule.config.k
-    live = np.arange(seeds.size)  # trials still drawing
-    above = np.zeros((thresholds.size, seeds.size), dtype=np.int64)
-    tiles = _DrawTiles(thresholds, seeds.size, tile * k, k)
-    block = min(n, tile * -(-_DECISION_ROUNDS // tile))  # whole tiles per check, or the horizon
-    through_buf = np.empty(thresholds.size * block * seeds.size, dtype=np.int64)
-    lo, hi = rule.y_early.T[..., None]  # lo[s, t - 1]: y symbol s, round t < n
-    for b0 in range(0, n, block):
-        rounds = min(block, n - b0)
-        # Hits of each round of the block, then counts through each round.
-        through = through_buf[: thresholds.size * rounds * live.size]
-        through = through.reshape(thresholds.size, rounds, live.size)
-        through[:] = 0
-        for t0 in range(0, rounds, tile):
-            r = min(tile, rounds - t0)
-            tiles.add_counts(seeds, (b0 + t0) * k, r * k, through[:, t0 : t0 + r])
-        through[:, 0] += above
-        for i in range(1, rounds):  # a prefix sum; np.cumsum on this axis is ~10x slower
-            through[:, i] += through[:, i - 1]
-        above = through[:, -1].copy()
-        checked = min(rounds, n - 1 - b0)
-        totals = k * np.arange(b0 + 1, b0 + 1 + checked)[:, None]
-        y = _cell_counts(through[:, :checked], totals, shape).sum(axis=0)  # symbols first
-        window = slice(b0, b0 + checked)
-        rejected = ((y < lo[:, window]) | (y > hi[:, window])).any(axis=0)
+        checked = min(r, n - 1 - t0)  # rounds of the tile before the horizon
+        if not early or checked < 1:
+            continue
+        # run[s - 1, i]: the count of y symbol s through round t0 + i + 1.
+        # Each round's counts are summed in uint8, then added up over the
+        # tile's rounds in log2(checked) passes (cumsum over that axis ran
+        # 30x slower on 16,384 trials). Symbol 0 is checked through the sum
+        # of the others (see ``rule.y_checks``).
+        by_round = codes[: checked * k].reshape(checked, k, live.size)
+        run = np.empty((len(base), checked, live.size), dtype=base.dtype)
+        for s in range(1, ny):
+            ones = by_round if ny == 2 else (by_round == s).view(np.uint8)  # two symbols: the code is 0/1
+            run[s - 1] = np.add.reduce(ones, axis=1, dtype=per_round)
+        run[: ny - 1, 0] += y
+        d = 1
+        while d < checked:
+            run[: ny - 1, d:] += run[: ny - 1, :-d]
+            d *= 2
+        if ny != 2:
+            np.add.reduce(run[: ny - 1], axis=0, out=run[-1])
+        y = run[: ny - 1, -1]
+        window = slice(t0, t0 + checked)
+        outside = np.subtract(run, base[:, window]).view(width.dtype) > width[:, window]
+        rejected = outside[0] if len(outside) == 1 else outside.any(axis=0)
         out = rejected.any(axis=0)
         if out.any():
-            stops[live[out]] = b0 + 1 + rejected[:, out].argmax(axis=0)
-            live, seeds, above = live[~out], seeds[~out], above[:, ~out]
+            # take() on index arrays: a boolean index on axis 1 took 4x longer.
+            gone, kept = np.flatnonzero(out), np.flatnonzero(~out)
+            stops[live[gone]] = t0 + 1 + rejected.take(gone, axis=1).argmax(axis=0)
+            live, seeds = live[kept], seeds[kept]
+            above, y = above.take(kept, axis=1), y.take(kept, axis=1)
+            sums = sums.take(kept, axis=1) if per_flush else above
             if not live.size:
                 break
     return live, above
@@ -662,21 +721,27 @@ def simulate_batch(
     The horizon streams in tiles of whole rounds, about ``_TILE_DRAWS``
     draws for all trials together, hashed into buffers allocated once per
     call, so memory is O(trials x cells) at any horizon. A draw is never
-    turned into a float or a symbol: with w its 64-bit word and T_j the
+    turned into a float or searched for: with w its 64-bit word and T_j the
     integer thresholds of the joint's cdf, the scalar protocol draws a
     symbol past cell j exactly when w >= T_j << 11 (see ``seqht.rng``), so
     counting those words per trial yields the joint type the scalar
-    protocol sees, and from it both marginals. Early-decide checks the
-    y-marginal after each round of a block of at least ``_DECISION_ROUNDS``
-    rounds and stops drawing for trials it has rejected; counter addressing
-    keeps every other trial's draws unchanged.
+    protocol sees, and from it both marginals. Early-decide reads one more
+    thing off the same compares, each draw's y symbol as an unsigned code;
+    per-round counts of the codes give every trial's running y counts,
+    whose every round before the horizon is checked once its tile is
+    counted. Rejected trials are compacted out and draw no more; counter
+    addressing keeps every other trial's draws unchanged.
 
     On a 16,384-trial chunk of a 2x2 joint (2 MB L2 per core), per draw,
     hashing took 1.8 ns, comparing with the three thresholds 0.8 ns and
     counting the hits 0.15 ns, against 9.4, 0.9 and 1.2 ns for the
     ``uniform_ints`` blocks of 16 draws per trial used before (medians of
     five runs on one host); the fixed-horizon chunk at N = 200 peaks at
-    2.6 MB of allocations, against 7.5 MB.
+    2.6 MB of allocations, against 7.5 MB. An early-decide chunk at N = 200
+    (default eta) took 26-30 ms under the null and 25-29 ms under the
+    alternative, against 83-89 and 51-56 ms when it summed the hits of every
+    round of a block into a table of per-round cell counts, and peaks at
+    2.7 MB of allocations, against 13.0 MB.
     """
     if joint.probs.shape != p_null.probs.shape:
         raise LengthMismatch("source joint shape does not match null joint shape")
@@ -690,10 +755,7 @@ def simulate_batch(
 
     decisions = np.full(trials, REJECT, dtype=np.int64)
     stops = np.full(trials, n, dtype=np.int64)
-    if config.policy_kind is PolicyKind.FIXED_HORIZON:
-        live, above = np.arange(trials), _horizon_counts(seeds, thresholds, n, k, tile)
-    else:
-        live, above = _early_reject(rule, seeds, thresholds, shape, tile, stops)
+    live, above = _stream_counts(rule, seeds, thresholds, tile, stops)
 
     cells = _cell_counts(above, n * k, shape)
     accept = np.ones(live.size, dtype=bool)

@@ -194,6 +194,37 @@ def test_simulate_monte_carlo_needs_trials(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("method", ["exact", "mc"])
+@pytest.mark.parametrize(
+    "flag,value", [("--threads", "0"), ("--threads", "-3"), ("--trials", "0"), ("--trials", "-1"), ("--trials", "x")]
+)
+def test_simulate_checks_monte_carlo_flags_for_every_method(tmp_path, capsys, method, flag, value):
+    cfg = write_config(tmp_path, **SIM, protocol={"k": 2, "n": 3}, trials=10)
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--config", cfg, "--method", method, flag, value])
+    assert exc.value.code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("body", [{"trials": 0}, {"trials": -2}, {"trials": 2.5}, {"seed": 1.5}, {"seed": "7"}])
+def test_simulate_checks_monte_carlo_fields_for_every_method(tmp_path, capsys, body):
+    cfg = write_config(tmp_path, **SIM, protocol={"k": 2, "n": 3}, **body)
+    assert run(["simulate", "--config", cfg, "--method", "exact"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert next(iter(body)) in captured.err and captured.out == ""
+
+
+def test_exact_simulate_accepts_valid_monte_carlo_flags(tmp_path, capsys):
+    cfg = write_config(tmp_path, **SIM, protocol={"k": 2, "n": 3})
+    assert run(["simulate", "--config", cfg]) == EXIT_OK
+    plain = capsys.readouterr().out
+    flags = ["--threads", "1", "--seed", "-5", "--trials", "7"]
+    assert run(["simulate", "--config", cfg, "--method", "exact", *flags]) == EXIT_OK
+    assert capsys.readouterr().out == plain
+    assert "exact" in plain
+
+
 def test_simulate_enumeration_budget_exit(tmp_path, capsys):
     third = [[1.0 / 9.0] * 3] * 3
     cfg = write_config(

@@ -206,6 +206,18 @@ def test_full_type_traces_compare_by_value():
     assert len({first, replay, other}) == 2
 
 
+def test_full_type_payloads_are_read_only_types_of_the_prefix():
+    cfg = ProtocolConfig(k=2, n=5, eta=0.25, encoder_kind="full_type", policy_kind="early_decide")
+    trace = run_protocol(cfg, P_JOINT, SourceModel(Hypothesis.H1, Q_UNIFORM, 4))
+    for t, msg in enumerate(trace.messages, 1):
+        counts = msg.payload.counts
+        assert counts.dtype == np.int64 and not counts.flags.writeable
+        with pytest.raises(ValueError):
+            counts[0] += 1
+        assert msg.payload == empirical_type(trace.x_seq[: 2 * t], marginals(P_JOINT)[0].alphabet)
+        assert msg.payload.total == 2 * t
+
+
 def test_public_decide_builds_no_pmf(monkeypatch):
     cfg = one_bit_config(n=2, eta=0.25, policy_kind="early_decide")
     marginals(P_JOINT)  # the joint's marginals are built once, here
@@ -575,6 +587,9 @@ P_3X3 = JointPmf.from_probs([[0.30, 0.05, 0.05], [0.05, 0.20, 0.05], [0.05, 0.05
 Q_3X3 = JointPmf.from_probs(np.full((3, 3), 1 / 9))
 
 
+P_HALF_Y = JointPmf.from_probs([[0.05, 0.05], [0.45, 0.45]])
+
+
 def _batch_cases():
     p_3x2 = JointPmf.from_probs([[0.25, 0.25], [0.125, 0.125], [0.125, 0.125]])
     q_3x2 = JointPmf.from_probs([[0.1, 0.2], [0.3, 0.1], [0.1, 0.2]])
@@ -588,6 +603,12 @@ def _batch_cases():
             yield pytest.param(policy, hypothesis, P_JOINT, Q_UNIFORM, 0.05, 3, 40, id=f"{case}-k3n40")
             yield pytest.param(policy, hypothesis, P_3X3, Q_3X3, 0.12, 3, 20, id=f"{case}-3x3")
             yield pytest.param(policy, hypothesis, P_JOINT, Q_UNIFORM, 0.3, 1, 1, id=f"{case}-n1")
+            # At round 1 no count of one sample lies in any window.
+            yield pytest.param(policy, hypothesis, P_JOINT, Q_UNIFORM, 0.05, 1, 3, id=f"{case}-empty-windows")
+            # y marginal (0.5, 0.5), 10 samples at round 2: in floats, 3 of
+            # symbol 1 misses its window and 7 passes, while 7 misses through
+            # symbol 0's window (3 of symbol 0) and 3 passes.
+            yield pytest.param(policy, hypothesis, P_HALF_Y, Q_UNIFORM, 0.15, 5, 3, id=f"{case}-float-edges")
 
 
 @pytest.mark.parametrize("policy, hypothesis, p_null, alternative, eta, k, n", list(_batch_cases()))
@@ -602,28 +623,55 @@ def test_simulate_batch_matches_protocol_runs(policy, hypothesis, p_null, altern
         assert trace.stopping_time == stops[j]
 
 
+P_BENCH = JointPmf.from_probs([[0.81, 0.09], [0.09, 0.01]])
+# A zero cell ends the first joint row, and the cdf reaches 1 at cell 5 of 8,
+# so two thresholds are 2**53.
+P_2X4 = JointPmf.from_probs([[0.125, 0.125, 0.25, 0.0], [0.25, 0.25, 0.0, 0.0]])
+Q_2X4 = JointPmf.from_probs(np.full((2, 4), 1 / 8))
+
+
 def _kernel_cases():
     for hypothesis in (Hypothesis.H0, Hypothesis.H1):
         for policy in ("fixed_horizon", "early_decide"):
             case = f"{hypothesis.value}-{policy}"
             # A round of 300 draws overflows a uint8 partial sum, and 3-round
             # tiles do not divide the 4-round horizon.
-            yield pytest.param(policy, hypothesis, 300, 4, 0.06, None, id=f"{case}-k300")
-            # Tiles of 3 rounds and checks every 9 rounds, neither dividing 40.
-            yield pytest.param(policy, hypothesis, 3, 40, 0.05, 3 * 3 * 64, id=f"{case}-small-tiles")
+            yield pytest.param(policy, hypothesis, P_JOINT, Q_UNIFORM, 300, 4, 0.06, None, 64, id=f"{case}-k300")
+            # Tiles of 3 rounds, not dividing 40.
+            yield pytest.param(policy, hypothesis, P_JOINT, Q_UNIFORM, 3, 40, 0.05, 3 * 3 * 64, 64, id=f"{case}-small-tiles")
+            # The y code wraps at each row end: one tile of the whole horizon,
+            # then tiles of 3 rounds.
+            for name, p_null, alternative in (("3x3", P_3X3, Q_3X3), ("2x4", P_2X4, Q_2X4)):
+                for tile_draws in (None, 3 * 2 * 64):
+                    tiles = "one-tile" if tile_draws is None else "3-round-tiles"
+                    yield pytest.param(
+                        policy, hypothesis, p_null, alternative, 2, 30, 0.2, tile_draws, 64, id=f"{case}-{name}-{tiles}"
+                    )
+            # The benchmark's chunk shape: 64-round tiles at 512 trials, and
+            # the 2-round tiles of a 16,384-trial chunk.
+            for tile_draws in (None, 2 * 2 * 512):
+                tiles = "64-round-tiles" if tile_draws is None else "2-round-tiles"
+                yield pytest.param(
+                    policy, hypothesis, P_BENCH, Q_UNIFORM, 2, 100, default_eta(100, 2), tile_draws, 512,
+                    id=f"{case}-bench-{tiles}",
+                )
 
 
-@pytest.mark.parametrize("policy, hypothesis, k, n, eta, tile_draws", list(_kernel_cases()))
-def test_simulate_batch_tiles_match_protocol_runs(monkeypatch, policy, hypothesis, k, n, eta, tile_draws):
+@pytest.mark.parametrize(
+    "policy, hypothesis, p_null, alternative, k, n, eta, tile_draws, trials", list(_kernel_cases())
+)
+def test_simulate_batch_tiles_match_protocol_runs(
+    monkeypatch, policy, hypothesis, p_null, alternative, k, n, eta, tile_draws, trials
+):
     if tile_draws is not None:
         monkeypatch.setattr(seqht.protocol, "_TILE_DRAWS", tile_draws)
     cfg = ProtocolConfig(k=k, n=n, eta=eta, policy_kind=policy)
-    joint = P_JOINT if hypothesis is Hypothesis.H0 else Q_UNIFORM
-    seeds = derive_seed(77, np.arange(64, dtype=np.uint64))
-    decisions, stops = simulate_batch(cfg, P_JOINT, joint, seeds)
+    joint = p_null if hypothesis is Hypothesis.H0 else alternative
+    seeds = derive_seed(77, np.arange(trials, dtype=np.uint64))
+    decisions, stops = simulate_batch(cfg, p_null, joint, seeds)
     outcomes = set()
     for j, seed in enumerate(seeds):
-        trace = run_protocol(cfg, P_JOINT, SourceModel(hypothesis, joint, int(seed)))
+        trace = run_protocol(cfg, p_null, SourceModel(hypothesis, joint, int(seed)))
         assert trace.decision == decisions[j]
         assert trace.stopping_time == stops[j]
         outcomes.add((trace.stopping_time < n, trace.decision))
@@ -635,11 +683,15 @@ def test_simulate_batch_tiles_match_protocol_runs(monkeypatch, policy, hypothesi
 
 # A leading zero cell gives T = 0; a cdf that reaches 1 at cell 2 of 6 gives
 # three thresholds of 2**53.
+RAW_WORD_JOINTS = [[[0.0, 0.5], [0.25, 0.25]], [[0.0, 0.5, 0.5], [1e-17, 0.0, 0.0]], [[0.3, 0.0, 0.2], [0.1, 0.25, 0.15]]]
+
+
 @pytest.mark.parametrize(
-    "probs",
-    [[[0.0, 0.5], [0.25, 0.25]], [[0.0, 0.5, 0.5], [1e-17, 0.0, 0.0]], [[0.3, 0.0, 0.2], [0.1, 0.25, 0.15]]],
+    "policy, probs",
+    [pytest.param("fixed_horizon", p, id=f"probs{i}") for i, p in enumerate(RAW_WORD_JOINTS)]
+    + [pytest.param("early_decide", p, id=f"early_decide-probs{i}") for i, p in enumerate(RAW_WORD_JOINTS)],
 )
-def test_simulate_batch_counts_raw_words_like_the_float_sampler(monkeypatch, probs):
+def test_simulate_batch_counts_raw_words_like_the_float_sampler(monkeypatch, policy, probs):
     # Random words almost never land on a threshold, so feed the kernel words
     # on both sides of each T << 11 and at both ends of the 64-bit range.
     joint = JointPmf.from_probs(probs)
@@ -663,17 +715,25 @@ def test_simulate_batch_counts_raw_words_like_the_float_sampler(monkeypatch, pro
     # are moved into the int64 counts several times (T = 0 hits every word).
     monkeypatch.setattr(seqht.protocol, "_TILE_DRAWS", 5 * words.size)
     k, n = 2, 150
-    cfg = ProtocolConfig(k=k, n=n, eta=0.2)
-    simulate_batch(cfg, joint, joint, np.arange(words.size, dtype=np.uint64))
-    counts = cells[-1]  # the horizon's joint counts, trials last
+    cfg = ProtocolConfig(k=k, n=n, eta=0.2, policy_kind=policy)
+    decisions, stops = simulate_batch(cfg, joint, joint, np.arange(words.size, dtype=np.uint64))
+    counts = cells[-1]  # the joint counts of the trials that reach the horizon, trials last
+    reached = 0
     for s in range(words.size):
         seen = words[(np.arange(k * n) + s) % words.size]
         drawn = sample_categorical(cdf, (seen >> np.uint64(11)) * 2.0**-53)
-        expected = np.bincount(drawn, minlength=cdf.size).reshape(joint.probs.shape)
-        np.testing.assert_array_equal(counts[..., s], expected)
+        verdicts = float_replay(cfg, joint, *np.divmod(drawn, joint.probs.shape[1]))[0]
+        assert (stops[s], decisions[s]) == (len(verdicts), verdicts[-1])
+        if stops[s] == n:
+            expected = np.bincount(drawn, minlength=cdf.size).reshape(joint.probs.shape)
+            np.testing.assert_array_equal(counts[..., reached], expected)
+            reached += 1
+    assert counts.shape[-1] == reached
+    if policy == "early_decide":
+        assert 0 < reached < words.size  # y codes of edge words reject some trials early
 
 
-@pytest.mark.parametrize("policy, bound_mb", [("fixed_horizon", 3), ("early_decide", 16)])
+@pytest.mark.parametrize("policy, bound_mb", [("fixed_horizon", 3), ("early_decide", 4)])
 def test_simulate_batch_memory_at_a_full_chunk(policy, bound_mb):
     # One Monte Carlo chunk of 16,384 trials at N = 200 under H0: the draws
     # are hashed and counted in cache-sized tiles whose buffers are allocated
