@@ -23,7 +23,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .errors import InvalidConfig, NotStrictlyPositive, SeqHTError, TooLarge
+from .errors import InvalidConfig, InvalidDistribution, NotStrictlyPositive, SeqHTError, TooLarge
 from .exponent import SolverOptions, grid_oracle_exponent, solve_exponent
 from .harness import (
     ERROR_CSV_HEADER,
@@ -83,11 +83,10 @@ def _number_field(section: Mapping[str, Any], key: str, default: Any = None) -> 
 def _parse_joint(raw: Mapping[str, Any], key: str) -> JointPmf:
     if key not in raw:
         raise InvalidConfig(f"config is missing the {key} matrix")
-    rows = raw[key]
-    shaped = isinstance(rows, list) and all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)
-    if not shaped or any(isinstance(v, bool) or not isinstance(v, (int, float)) for r in rows for v in r):
-        raise InvalidConfig(f"'{key}' must be a list of equal-length lists of numbers, got {rows!r}")
-    return JointPmf.from_probs(rows)
+    try:
+        return JointPmf.from_probs(raw[key])
+    except InvalidDistribution as exc:
+        raise InvalidConfig(f"'{key}': {exc}") from exc
 
 
 def _parse_protocol(raw: Mapping[str, Any]) -> ProtocolConfig:

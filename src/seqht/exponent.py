@@ -68,10 +68,8 @@ class ExponentResult:
 
 
 def _check_joint_pair(p: JointPmf, q: JointPmf):
-    if p.alphabet_x.size != q.alphabet_x.size or p.alphabet_y.size != q.alphabet_y.size:
-        raise AlphabetMismatch(
-            f"joint shapes differ: {p.probs.shape} vs {q.probs.shape}"
-        )
+    if p.probs.shape != q.probs.shape:
+        raise AlphabetMismatch(f"joint shapes differ: {p.probs.shape} vs {q.probs.shape}")
     if not q.strictly_positive:
         raise NotStrictlyPositive(
             "the alternative joint must be strictly positive cell-wise"
@@ -147,7 +145,7 @@ def solve_exponent(
         np.abs(m.sum(axis=0) - py), log_b
     )
 
-    minimizer = JointPmf(p.alphabet_x, p.alphabet_y, m)
+    minimizer = JointPmf(m)
     return ExponentResult(
         exponent=kl_divergence(minimizer, q),
         minimizer=minimizer,

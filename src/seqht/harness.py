@@ -77,14 +77,21 @@ class ErrorReport:
 
     ``alpha`` is the probability of rejecting the null under the null;
     ``beta`` the probability of accepting it under the alternative.
-    ``log_alpha``/``log_beta`` are exact natural logs (finite even when the
-    linear value underflows to zero). Monte Carlo reports carry the trial
-    count and 95% Wilson half-widths; exact reports leave them as None.
+    ``log_alpha``/``log_beta`` are natural logs. Monte Carlo reports carry
+    the trial count and 95% Wilson half-widths; exact reports leave them as
+    None.
 
-    Exact ``alpha`` is the complement of the accept mass, -expm1(log accept),
-    so it is good to about 1e-16 absolute, not relative: a tiny alpha (say
-    1e-9) has only its first several digits right, though the CSV prints 17.
-    Exact ``beta`` and ``log_beta`` keep their relative precision.
+    Exact ``beta`` is the accept mass under the alternative, and ``log_beta``
+    its log, kept in log domain: both keep their relative precision, and
+    ``log_beta`` stays finite when ``beta`` underflows to zero. Exact
+    ``alpha`` is the complement of the accept mass under the null,
+    -expm1(log accept), taken after thousands of log-additions, and
+    ``log_alpha`` is its log. Neither is good to the last digits. With
+    P = [[.81, .09], [.09, .01]] against a uniform Q and k = 2, at N = 2000
+    and eta = 0.02, alpha is off by 7.2e-13 absolute (1.1e-10 relative)
+    against a 30-digit reference; at N = 250 with the default eta, alpha is
+    0.0 and ``log_alpha`` is -inf, where the truth is about e^-77. Summing
+    alpha from the reject side would fix both (ROADMAP item 3).
     """
 
     n: int

@@ -182,36 +182,39 @@ class SourceModel:
 
 @dataclass(frozen=True)
 class Trace:
-    """Complete record of one protocol run.
+    """Complete record of one protocol run: one message per round played,
+    the final decision, and the samples drawn for those rounds.
 
-    ``feedback_bits[i]`` is the bit sent after round i+1: 1 requests more
-    samples, 0 stops, so the record is T-1 ones followed by a zero and the
-    stopping time is the index of that zero plus one. Verdicts are CONTINUE
-    for every round but the last.
+    The stopping time T is the number of messages. The feedback after round
+    t is 1 (more samples) for t < T and 0 (stop) at T, and every verdict
+    before T is CONTINUE, so both records follow from T and the decision.
     """
 
-    stopping_time: int
     messages: tuple[Message, ...]
-    feedback_bits: tuple[int, ...]
     decision: int
     x_seq: tuple[int, ...]
     y_seq: tuple[int, ...]
-    per_step_verdicts: tuple[int | None, ...]
 
     def __post_init__(self):
-        t = self.stopping_time
-        if t < 1:
-            raise InvalidConfig(f"stopping time must be >= 1, got {t}")
+        if not self.messages:
+            raise InvalidConfig("a trace needs at least one message (stopping time >= 1)")
         if self.decision not in (ACCEPT, REJECT):
             raise InvalidConfig(f"final decision must be 0 or 1, got {self.decision!r}")
-        if len(self.messages) != t or len(self.feedback_bits) != t or len(self.per_step_verdicts) != t:
-            raise LengthMismatch("per-round records must all have length T")
-        if self.feedback_bits != (1,) * (t - 1) + (0,):
-            raise InvalidConfig(f"feedback bits {self.feedback_bits} not of the wait...stop form")
-        if self.per_step_verdicts[:-1] != (CONTINUE,) * (t - 1) or self.per_step_verdicts[-1] != self.decision:
-            raise InvalidConfig("verdicts must be CONTINUE until the final decision")
         if len(self.x_seq) != len(self.y_seq):
             raise LengthMismatch("x and y observation records must have equal length")
+
+    @property
+    def stopping_time(self) -> int:
+        return len(self.messages)
+
+    @property
+    def feedback_bits(self) -> tuple[int, ...]:
+        """The bit sent after each round: T-1 ones, then the stopping zero."""
+        return (1,) * (self.stopping_time - 1) + (0,)
+
+    @property
+    def per_step_verdicts(self) -> tuple[int | None, ...]:
+        return (CONTINUE,) * (self.stopping_time - 1) + (self.decision,)
 
 
 def _blocked_length(config: ProtocolConfig, length: int) -> int:
@@ -364,7 +367,7 @@ def _payload(rule: _DecisionRule, t: int, x_counts: list[int]) -> int | Empirica
     typicality bit, or the type itself."""
     if rule.config.encoder_kind is EncoderKind.ONE_BIT:
         return int(_inside(x_counts, rule.x_round_lists[t - 1]))
-    return EmpiricalType(x_counts, rule.p_x.alphabet)
+    return EmpiricalType(x_counts)
 
 
 def encode(config: ProtocolConfig, x_prefix: Sequence[int], p_x: Pmf) -> Message:
@@ -377,7 +380,7 @@ def encode(config: ProtocolConfig, x_prefix: Sequence[int], p_x: Pmf) -> Message
     t = _blocked_length(config, len(x_prefix))
     if t > config.n:
         raise InvalidConfig(f"round {t} beyond the horizon n={config.n}")
-    return Message(step=t, payload=_payload(_rule(config, p_x), t, _tally(x_prefix, p_x.alphabet)))
+    return Message(step=t, payload=_payload(_rule(config, p_x), t, _tally(x_prefix, p_x.probs.size)))
 
 
 def decide(
@@ -394,13 +397,7 @@ def decide(
     for the null y-marginal. Early-decide: additionally reject at t < n when
     the y-type is atypical on the widened margin; acceptance still only at n.
     """
-    return _decide(_rule(config, p_joint), messages, y_prefix, t)
-
-
-def _decide(
-    rule: _DecisionRule, messages: Sequence[Message], y_prefix: Sequence[int], t: int
-) -> int | None:
-    config, p_y = rule.config, rule.p_y
+    rule = _rule(config, p_joint)
     if len(messages) != t:
         raise InconsistentMessages(f"expected {t} messages by round {t}, got {len(messages)}")
     if messages and messages[-1].step != t:
@@ -419,7 +416,7 @@ def _decide(
     if t < config.n:
         if config.policy_kind is PolicyKind.EARLY_DECIDE:
             # The tally comes first: an empty prefix (t = 0) is its error.
-            y_counts = _tally(y_prefix, p_y.alphabet)
+            y_counts = _tally(y_prefix, rule.p_y.probs.size)
             if not _inside(y_counts, rule.y_early[t - 1].tolist()):
                 return REJECT
         return CONTINUE
@@ -427,7 +424,7 @@ def _decide(
         raise InvalidConfig(f"round {t} beyond the horizon n={config.n}")
 
     x_windows, y_windows = rule.horizon
-    y_ok = _inside(_tally(y_prefix, p_y.alphabet), y_windows)
+    y_ok = _inside(_tally(y_prefix, rule.p_y.probs.size), y_windows)
     if config.encoder_kind is EncoderKind.ONE_BIT:
         if not isinstance(payload, int):
             raise InconsistentMessages("one-bit decider received a non-bit payload")
@@ -435,8 +432,10 @@ def _decide(
     else:
         if not isinstance(payload, EmpiricalType):
             raise InconsistentMessages("full-type decider received a non-type payload")
-        if payload.alphabet_x != rule.p_x.alphabet:
-            raise AlphabetMismatch("full-type payload is not a type over the x-alphabet")
+        if payload.counts.shape != rule.p_x.probs.shape:
+            raise AlphabetMismatch(
+                f"full-type payload has {payload.counts.size} counts for {rule.p_x.probs.size} x symbols"
+            )
         x_ok = _inside(payload.counts.tolist(), x_windows)
     return ACCEPT if (x_ok and y_ok) else REJECT
 
@@ -455,8 +454,8 @@ def _replay(rule: _DecisionRule, x: Sequence[int], y: Sequence[int]):
     k, n = config.k, config.n
     rounds = min(len(x) // k, n)
     early = rule.y_early[:rounds].tolist() if config.policy_kind is PolicyKind.EARLY_DECIDE else ()
-    x_counts = [0] * rule.p_x.alphabet.size
-    y_counts = [0] * rule.p_y.alphabet.size
+    x_counts = [0] * rule.p_x.probs.size
+    y_counts = [0] * rule.p_y.probs.size
     rows = []
     for t in range(rounds):
         for s in x[t * k : t * k + k]:
@@ -484,8 +483,7 @@ def run_protocol(config: ProtocolConfig, p_null: JointPmf, source: SourceModel) 
     sampler ``simulate_batch`` uses (draw i is the number of thresholds its
     53-bit integer reaches; see ``seqht.rng``). Being addressed by counter,
     the rounds played see the samples a round-by-round draw would. The drawn
-    symbols lie in the alphabets by construction and go to the replay
-    unchecked.
+    symbols are in range by construction and go to the replay unchecked.
     """
     if source.joint.probs.shape != p_null.probs.shape:
         raise LengthMismatch(
@@ -497,7 +495,7 @@ def run_protocol(config: ProtocolConfig, p_null: JointPmf, source: SourceModel) 
     m = uniform_ints(np.uint64(source.rng_seed), counters)
     # The thresholds are sorted, so the count of those m reaches is a search.
     draws = np.searchsorted(source.joint._thresholds, m, side="right")
-    x, y = (v.tolist() for v in np.divmod(draws, source.joint.alphabet_y.size))
+    x, y = (v.tolist() for v in np.divmod(draws, source.joint.probs.shape[1]))
     verdicts, x_counts = _replay(rule, x, y)
     t = len(verdicts)
     played = t * config.k
@@ -507,15 +505,12 @@ def run_protocol(config: ProtocolConfig, p_null: JointPmf, source: SourceModel) 
         # The replay's counts are valid types: one read-only array, one row each.
         counts = np.array(x_counts, dtype=np.int64)
         counts.setflags(write=False)
-        payloads = [EmpiricalType._unchecked(row, rule.p_x.alphabet) for row in counts]
+        payloads = [EmpiricalType._unchecked(row) for row in counts]
     return Trace(
-        stopping_time=t,
         messages=tuple(Message(step=s, payload=c) for s, c in enumerate(payloads, 1)),
-        feedback_bits=(1,) * (t - 1) + (0,),
         decision=verdicts[-1],
         x_seq=tuple(x[:played]),
         y_seq=tuple(y[:played]),
-        per_step_verdicts=tuple(verdicts),
     )
 
 
@@ -529,14 +524,14 @@ def acceptance_region_membership(
 
     The sequences must have exactly the length T * k that the policy itself
     induces on them; anything shorter or longer is a caller error. Symbols
-    are checked against the alphabets once, up front.
+    are checked against the null's shape once, up front.
     """
     if len(x_full) != len(y_full):
         raise BadLength(f"sequence lengths differ: {len(x_full)} vs {len(y_full)}")
     _blocked_length(config, len(x_full))
     rule = _rule(config, p_null)
-    x = _symbol_list(x_full, rule.p_x.alphabet)
-    y = _symbol_list(y_full, rule.p_y.alphabet)
+    x = _symbol_list(x_full, rule.p_x.probs.size)
+    y = _symbol_list(y_full, rule.p_y.probs.size)
     verdicts = _replay(rule, x, y)[0]
     if verdicts[-1] is CONTINUE:
         raise BadLength(
@@ -648,7 +643,7 @@ def _stream_counts(
     in ``stops`` and is compacted out, so it draws no more.
     """
     n, k = rule.config.n, rule.config.k
-    ny = rule.p_y.alphabet.size
+    ny = rule.p_y.probs.size
     early = rule.config.policy_kind is PolicyKind.EARLY_DECIDE and n > 1
     rows = tile * k
     tiles = _DrawTiles(thresholds, seeds.size, rows, ny if early else None)

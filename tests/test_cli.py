@@ -412,6 +412,17 @@ def test_bad_scalar_field_is_a_validation_error(tmp_path, capsys, command, body,
 
 
 @pytest.mark.parametrize(
+    "matrix",
+    [[[0.5, 0.6], [0.0, 0.0]], [[1.25, -0.25], [0.0, 0.0]], [0.25, 0.75], [[[1.0]]], {"a": 1}, None,
+     [[10**400, 0], [0, 0]]],
+)
+def test_bad_matrix_is_a_validation_error_naming_its_key(tmp_path, capsys, matrix):
+    cfg = write_config(tmp_path, P_XY=PRODUCT_P, Q_XY=matrix)
+    assert run(["exponent", "--config", cfg]) == EXIT_VALIDATION
+    assert "'Q_XY': " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command,flag",
     [("exponent", "--seed"), ("exponent", "--threads"), ("fit", "--seed"), ("fit", "--threads"),
      ("verify", "--threads")],

@@ -12,6 +12,7 @@ from seqht import (
     REJECT,
     AlphabetMismatch,
     BadLength,
+    EmpiricalType,
     EncoderKind,
     Hypothesis,
     InconsistentMessages,
@@ -140,9 +141,20 @@ def test_decide_validates_messages():
     ft = one_bit_config(n=1, encoder_kind="full_type")
     with pytest.raises(InconsistentMessages):
         decide(ft, [Message(step=1, payload=1)], [0] * 4, 1, P_JOINT)
-    short_type = empirical_type([0, 1], Pmf.from_probs([0.75, 0.25]).alphabet)
+    short_type = empirical_type([0, 1], 2)
     with pytest.raises(InconsistentMessages):
         decide(ft, [Message(step=1, payload=short_type)], [0] * 4, 1, P_JOINT)
+
+
+def test_full_type_decide_rejects_a_type_over_the_wrong_number_of_symbols():
+    # A type of the right total over 1 or 3 symbols is no type of the
+    # 2-symbol x marginal; one over 2 symbols is read.
+    ft = one_bit_config(n=1, encoder_kind="full_type")
+    for counts in ([4], [2, 1, 1], [4, 0, 0]):
+        message = Message(step=1, payload=EmpiricalType(counts))
+        with pytest.raises(AlphabetMismatch, match="counts for 2 x symbols"):
+            decide(ft, [message], [0] * 4, 1, P_JOINT)
+    assert decide(ft, [Message(step=1, payload=EmpiricalType([3, 1]))], [0, 0, 0, 1], 1, P_JOINT) == ACCEPT
 
 
 def test_message_bits_take_any_integer_type_as_a_python_int():
@@ -214,7 +226,7 @@ def test_full_type_payloads_are_read_only_types_of_the_prefix():
         assert counts.dtype == np.int64 and not counts.flags.writeable
         with pytest.raises(ValueError):
             counts[0] += 1
-        assert msg.payload == empirical_type(trace.x_seq[: 2 * t], marginals(P_JOINT)[0].alphabet)
+        assert msg.payload == empirical_type(trace.x_seq[: 2 * t], 2)
         assert msg.payload.total == 2 * t
 
 
@@ -465,7 +477,6 @@ def test_run_protocol_rounds_match_encode_and_decide_on_prefixes(encoder, policy
                 assert msg.payload == expected.payload
             else:
                 assert msg.payload.counts.tolist() == expected.payload.counts.tolist()
-                assert msg.payload.alphabet_x == expected.payload.alphabet_x
             verdict = decide(cfg, trace.messages[:t], trace.y_seq[: 4 * t], t, P_JOINT)
             assert verdict == trace.per_step_verdicts[t - 1]
     assert {decision for _, decision in outcomes} == {ACCEPT, REJECT}
@@ -475,22 +486,15 @@ def test_run_protocol_rounds_match_encode_and_decide_on_prefixes(encoder, policy
 
 def test_trace_invariants_are_enforced():
     msg = (Message(step=1, payload=1), Message(step=2, payload=1))
-    ok = dict(
-        stopping_time=2,
-        messages=msg,
-        feedback_bits=(1, 0),
-        decision=ACCEPT,
-        x_seq=(0, 0),
-        y_seq=(0, 0),
-        per_step_verdicts=(CONTINUE, ACCEPT),
-    )
-    Trace(**ok)
-    with pytest.raises(InvalidConfig):
-        Trace(**{**ok, "feedback_bits": (0, 0)})
-    with pytest.raises(InvalidConfig):
-        Trace(**{**ok, "per_step_verdicts": (ACCEPT, ACCEPT)})
+    ok = dict(messages=msg, decision=ACCEPT, x_seq=(0, 0), y_seq=(0, 0))
+    trace = Trace(**ok)
+    assert trace.stopping_time == 2
+    assert trace.feedback_bits == (1, 0)
+    assert trace.per_step_verdicts == (CONTINUE, ACCEPT)
     with pytest.raises(InvalidConfig):
         Trace(**{**ok, "decision": CONTINUE})
+    with pytest.raises(InvalidConfig):
+        Trace(**{**ok, "messages": ()})
 
 
 MEMBER_CFG = ProtocolConfig(k=2, n=1, eta=0.25)
