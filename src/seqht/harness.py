@@ -23,6 +23,11 @@ thousand samples the type-II error is around exp(-1400), far below the
 smallest positive double, so reports carry log-probabilities alongside the
 (possibly underflowed) linear values.
 
+The exact evaluators read their log-factorials and binomial terms from
+``scipy.special``, which this module imports on the first exact evaluation
+and not before: Monte Carlo, the verifiers and every other seqht module run
+without loading scipy.
+
 Also here: empirical exponent extraction by least squares over a grid of
 sample budgets, which evaluates the alternative only (the one measure that
 -ln(beta) reads), and exact small-horizon verifiers for the two identities
@@ -33,12 +38,10 @@ a stopped-set log-probability bound).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .errors import (
     HorizonTooLarge,
@@ -186,22 +189,36 @@ def _check_instance(p: JointPmf, q: JointPmf):
         )
 
 
+def _log_factorials(total: int) -> np.ndarray:
+    """``gammaln(arange(total + 2))``: log(c!) at index c + 1, c = 0..total.
+
+    The one place the exact evaluators import ``gammaln``, so that
+    ``scipy.special`` loads on the first exact evaluation and not before.
+    """
+    from scipy.special import gammaln
+
+    return gammaln(np.arange(total + 2))
+
+
 def _binom_rows(lg: np.ndarray, p: float) -> Callable[[int], np.ndarray]:
     """``n -> scipy.stats.binom.logpmf(arange(n + 1), n, p)``, bit for bit,
     for n = 0..lg.size - 2.
 
-    ``lg`` is ``gammaln(arange(top + 2))``. The terms c * log(p) and
+    ``lg`` is ``_log_factorials(top)``. The terms c * log(p) and
     c * log1p(-p) are tabulated once for c = 0..top, each from a single
     ``xlogy(1, p)`` / ``xlog1py(1, -p)``, with the c = 0 term 0 as xlogy and
     xlog1py give it. A row is then scipy's formula over slices of the
     tables, term for term and in its order. Do not swap in a more accurate
-    log-pmf: the lgamma rounding of this formula is systematic (about 1e-10
-    relative at N = 2000 against a 50-digit evaluation), and alpha =
-    -expm1(log accept) inherits it, so a different formula moves alpha by
-    more than the 1e-12 that the committed reference values are checked to.
-    For the same reason alpha stays the complement of the accept mass rather
-    than a sum over the reject region.
+    log-pmf, nor ``math.lgamma`` or ``np.log1p`` for scipy's functions: they
+    round differently. The lgamma rounding of this formula is systematic
+    (about 1e-10 relative at N = 2000 against a 50-digit evaluation), and
+    alpha = -expm1(log accept) inherits it, so a different formula moves
+    alpha by more than the 1e-12 that the committed reference values are
+    checked to. For the same reason alpha stays the complement of the accept
+    mass rather than a sum over the reject region.
     """
+    from scipy.special import xlog1py, xlogy
+
     c = np.arange(1, lg.size - 1, dtype=np.float64)
     hit = np.concatenate(([0.0], c * xlogy(1, p)))
     miss = np.concatenate(([0.0], c * xlog1py(1, -p)))
@@ -310,7 +327,7 @@ def _binary_log_accept(
     s0 = joint[0, 0] / rx0 if rx0 > 0 else 0.0
     s1 = joint[1, 0] / rx1 if rx1 > 0 else 0.0
 
-    lg = gammaln(np.arange(total + 2))
+    lg = _log_factorials(total)
     pmf0, pmf1 = _binom_rows(lg, s0), _binom_rows(lg, s1)
     per_a = np.empty(a_vals.size)
     for i, a in enumerate(a_vals.tolist()):
@@ -385,7 +402,7 @@ def _exact_binary(
     rejects = []
     if config.policy_kind is PolicyKind.EARLY_DECIDE:
         rejects = [~_binary_mask(w, t * k) for t, w in enumerate(rule.y_early.tolist(), 1)]
-    lg = gammaln(np.arange(total + 2))
+    lg = _log_factorials(total)
     log_accepts, e_ts = [], []
     for joint in (m.probs for m in measures):
         ry0 = joint[0, 0] + joint[1, 0]
@@ -517,7 +534,7 @@ def _exact_general(
         if m >= first:
             backs[m] = back.reshape(layers, -1)
 
-    lg = gammaln(np.arange(total + 2)).tolist()
+    lg = _log_factorials(total).tolist()
     leaves = []
 
     def descend(i: int, table: np.ndarray, used: int, log_coef: float):
@@ -612,6 +629,8 @@ def monte_carlo_errors(
         if threads == 1 or len(spans) == 1:
             parts = [work(s) for s in spans]
         else:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 parts = list(pool.map(work, spans))
         return (

@@ -149,6 +149,8 @@ class Message:
     payload: int | EmpiricalType
 
     def __post_init__(self):
+        if type(self.step) is not int:
+            object.__setattr__(self, "step", _integer("message step", self.step))
         if self.step < 1:
             raise InvalidConfig(f"message step must be >= 1, got {self.step}")
         payload = self.payload
@@ -177,7 +179,10 @@ class SourceModel:
 
     def __post_init__(self):
         object.__setattr__(self, "hypothesis", Hypothesis(self.hypothesis))
-        object.__setattr__(self, "rng_seed", int(self.rng_seed) & 0xFFFFFFFFFFFFFFFF)
+        if not isinstance(self.joint, JointPmf):
+            raise InvalidConfig(f"source joint must be a JointPmf, got {type(self.joint).__name__}")
+        seed = _integer("rng_seed", self.rng_seed, positive=False)
+        object.__setattr__(self, "rng_seed", seed & 0xFFFFFFFFFFFFFFFF)
 
 
 @dataclass(frozen=True)

@@ -449,6 +449,36 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_only_exact_evaluation_loads_scipy(tmp_path):
+    src = str(Path(seqht.__file__).resolve().parents[1])
+    cfg = write_config(
+        tmp_path, **SIM, protocol={"k": 2, "n": 10, "eta": 0.2},
+        verify={"wald_horizon": 6, "set_bound_horizon": 4, "cases": 3},
+    )
+    probe = (
+        "import contextlib, io, sys, seqht, seqht.cli\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert seqht.cli.main(list(argv)) == 0, argv\n"
+        f"cfg = {cfg!r}\n"
+        "run('simulate', '--config', cfg, '--method', 'mc', '--trials', '200', '--seed', '3')\n"
+        "run('exponent', '--config', cfg)\n"
+        "run('verify', '--config', cfg)\n"
+        "print('scipy' in sys.modules)\n"
+        "run('simulate', '--config', cfg, '--method', 'exact')\n"
+        "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.split() == ["False", "True", "False"]
+
+
 # ---------------------------------------------------------------------------
 # verify
 

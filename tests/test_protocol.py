@@ -168,6 +168,16 @@ def test_message_bits_take_any_integer_type_as_a_python_int():
             Message(step=1, payload=bad)
 
 
+def test_message_step_must_be_an_integer():
+    cfg = one_bit_config(n=1)
+    msg = Message(step=np.int64(1), payload=1)
+    assert type(msg.step) is int and msg.step == 1
+    assert decide(cfg, [msg], [0, 0, 0, 1], 1, P_JOINT) == ACCEPT
+    for bad in (1.5, 1.0, True, "1", None, 0, -2):
+        with pytest.raises(InvalidConfig, match="message step"):
+            Message(step=bad, payload=1)
+
+
 def test_decide_early_policy_rejects_on_widened_margin():
     cfg = one_bit_config(n=4, eta=0.2, policy_kind="early_decide")
     msgs = [Message(step=1, payload=1)]
@@ -805,6 +815,17 @@ def test_source_model_masks_seed_to_64_bits():
     src = SourceModel(Hypothesis.H0, P_JOINT, rng_seed=2**64 + 5)
     assert src.rng_seed == 5
     assert SourceModel("H1", P_JOINT, 1).hypothesis is Hypothesis.H1
+    assert SourceModel("H1", P_JOINT, -1).rng_seed == 2**64 - 1
+    assert SourceModel("H1", P_JOINT, np.uint64(7)).rng_seed == 7
+
+
+def test_source_model_rejects_a_non_integer_seed_or_a_non_joint():
+    for bad in (1.7, 1.0, True, np.bool_(True), "1", None):
+        with pytest.raises(InvalidConfig, match="rng_seed"):
+            SourceModel(Hypothesis.H0, P_JOINT, bad)
+    for bad in ([[0.25, 0.25], [0.25, 0.25]], P_JOINT.probs, Pmf.from_probs([0.5, 0.5])):
+        with pytest.raises(InvalidConfig, match="JointPmf"):
+            SourceModel(Hypothesis.H0, bad, 1)
 
 
 def test_marginals_of_product_joint():
