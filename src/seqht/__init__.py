@@ -31,18 +31,12 @@ from .exponent import (
     solve_exponent,
 )
 from .harness import (
-    ERROR_CSV_HEADER,
-    FIT_CSV_HEADER,
     ErrorReport,
     ExponentFit,
     AcceptanceBoundReport,
     WaldReport,
-    error_report_csv_row,
     exact_errors,
-    exponent_fit_csv_rows,
-    exponent_fit_summary,
     fit_exponent,
-    format_float,
     monte_carlo_errors,
     verify_acceptance_bound,
     verify_wald_identity,
@@ -84,13 +78,11 @@ __all__ = [
     "AlphabetMismatch",
     "BadLength",
     "CONTINUE",
-    "ERROR_CSV_HEADER",
     "EmpiricalType",
     "EncoderKind",
     "ErrorReport",
     "ExponentFit",
     "ExponentResult",
-    "FIT_CSV_HEADER",
     "HorizonTooLarge",
     "Hypothesis",
     "InconsistentMessages",
@@ -119,12 +111,8 @@ __all__ = [
     "default_eta",
     "empirical_type",
     "encode",
-    "error_report_csv_row",
     "exact_errors",
-    "exponent_fit_csv_rows",
-    "exponent_fit_summary",
     "fit_exponent",
-    "format_float",
     "grid_oracle_exponent",
     "kl_divergence",
     "linf_distance",

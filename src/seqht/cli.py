@@ -1,4 +1,7 @@
-"""Command-line front end: config parsing, subcommands, CSV emission.
+"""Command-line front end: config parsing, subcommands, and every output line.
+
+The library returns reports and numbers; only this module turns them into
+CSV and text, every float through one formatter (17 significant digits).
 
 Subcommands: ``exponent`` (solve for the optimal exponent), ``simulate``
 (exact or Monte Carlo error evaluation), ``fit`` (empirical exponent slope
@@ -19,21 +22,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Mapping
+from itertools import chain
+from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidDistribution, NotStrictlyPositive, SeqHTError, TooLarge
+from .errors import (
+    InvalidConfig,
+    InvalidDistribution,
+    NotStrictlyPositive,
+    SeqHTError,
+    TooLarge,
+    _integer,
+    _real,
+)
 from .exponent import SolverOptions, grid_oracle_exponent, solve_exponent
 from .harness import (
-    ERROR_CSV_HEADER,
-    FIT_CSV_HEADER,
-    error_report_csv_row,
     exact_errors,
-    exponent_fit_csv_rows,
-    exponent_fit_summary,
     fit_exponent,
-    format_float,
     monte_carlo_errors,
     verify_acceptance_bound,
     verify_wald_identity,
@@ -64,20 +70,9 @@ def _load_json(path: str) -> dict:
     return raw
 
 
-def _int_field(section: Mapping[str, Any], key: str, default: Any = None) -> int:
-    """A JSON integer field (``true``, ``2.7`` and ``"10"`` are rejected)."""
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidConfig(f"'{key}' must be an integer, got {value!r}")
-    return value
-
-
-def _number_field(section: Mapping[str, Any], key: str, default: Any = None) -> float:
-    """A JSON number field (``true`` and ``"abc"`` are rejected)."""
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidConfig(f"'{key}' must be a number, got {value!r}")
-    return float(value)
+def _fmt(x: float) -> str:
+    """Canonical float rendering: 17 significant digits, '.' separator."""
+    return f"{x:.17g}"
 
 
 def _parse_joint(raw: Mapping[str, Any], key: str) -> JointPmf:
@@ -96,24 +91,22 @@ def _parse_protocol(raw: Mapping[str, Any]) -> ProtocolConfig:
     for field in ("k", "n"):
         if field not in section:
             raise InvalidConfig(f"protocol section is missing '{field}'")
-    k = _int_field(section, "k")
-    n = _int_field(section, "n")
-    eta = _number_field(section, "eta") if "eta" in section else default_eta(n, k)
+    # k and n feed the default eta; ProtocolConfig checks the rest by name.
+    k, n = (_integer(field, section[field], positive=False) for field in ("k", "n"))
     return ProtocolConfig(
         k=k,
         n=n,
-        eta=eta,
+        eta=section["eta"] if "eta" in section else default_eta(n, k),
         encoder_kind=section.get("encoder_kind", "one_bit"),
         policy_kind=section.get("policy_kind", "fixed_horizon"),
-        epsilon=_number_field(section, "epsilon", 0.05),
+        epsilon=section.get("epsilon", 0.05),
     )
 
 
 def _resolve_int(args, raw: Mapping[str, Any], key: str, default: int) -> int:
+    """The flag's value if given, else the config field's."""
     override = getattr(args, key, None)
-    if override is not None:
-        return override
-    return _int_field(raw, key, default)
+    return _integer(key, raw.get(key, default) if override is None else override, positive=False)
 
 
 def _positive_int(text: str) -> int:
@@ -144,14 +137,13 @@ def cmd_exponent(args) -> int:
             "joint (min over cells of Q_XY > 0); the supplied Q_XY has a zero cell"
         )
     opts = SolverOptions(
-        tolerance=_number_field(raw, "tolerance", 1e-10),
-        max_iterations=_int_field(raw, "max_iterations", 100_000),
+        tolerance=raw.get("tolerance", 1e-10), max_iterations=raw.get("max_iterations", 100_000)
     )
     result = solve_exponent(p, q, opts)
 
     oracle = ""
     if p.probs.shape == (2, 2):
-        oracle = format_float(grid_oracle_exponent(p, q, _number_field(raw, "grid_step", 1e-5)))
+        oracle = _fmt(grid_oracle_exponent(p, q, _real("grid_step", raw.get("grid_step", 1e-5))))
     p_x, p_y = marginals(p)
     q_x, q_y = marginals(q)
     baseline_x = kl_divergence(p_x, q_x)
@@ -165,20 +157,20 @@ def cmd_exponent(args) -> int:
         "grid_oracle,baseline_x,baseline_y,baseline_joint",
         ",".join(
             [
-                format_float(result.exponent),
+                _fmt(result.exponent),
                 "true" if result.converged else "false",
                 str(result.iterations),
-                format_float(result.marginal_residual),
-                format_float(result.duality_gap_bound),
+                _fmt(result.marginal_residual),
+                _fmt(result.duality_gap_bound),
                 oracle,
-                format_float(baseline_x),
-                format_float(baseline_y),
-                format_float(baseline_joint),
+                _fmt(baseline_x),
+                _fmt(baseline_y),
+                _fmt(baseline_joint),
             ]
         ),
         "# minimizer (row-major)",
     ]
-    lines.extend(",".join(format_float(v) for v in row) for row in result.minimizer.probs)
+    lines.extend(",".join(_fmt(v) for v in row) for row in result.minimizer.probs)
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
@@ -201,7 +193,11 @@ def cmd_simulate(args) -> int:
         report = monte_carlo_errors(config, p, q, trials, seed, threads=args.threads)
     else:
         report = exact_errors(config, p, q)
-    _emit(ERROR_CSV_HEADER + "\n" + error_report_csv_row(report) + "\n", args.out)
+    floats = (report.eta, report.alpha, report.beta, report.neg_ln_beta_per_sample, report.e_t_h0, report.e_t_h1)
+    mc = ["", ""] if report.trials is None else [str(report.trials), _fmt(report.ci_halfwidth)]
+    row = [str(report.total_samples), str(report.n), str(report.k), *map(_fmt, floats), report.method, *mc]
+    header = "N,n,k,eta,alpha,beta,neg_ln_beta_per_N,e_t_h0,e_t_h1,method,trials,ci"
+    _emit(header + "\n" + ",".join(row) + "\n", args.out)
     return EXIT_OK
 
 
@@ -213,48 +209,45 @@ def cmd_fit(args) -> int:
     grid = raw.get("N_grid")
     if not isinstance(grid, list) or len(grid) < 4:
         raise InvalidConfig("fit needs an N_grid list with at least 4 sample budgets")
-    if any(isinstance(v, bool) or not isinstance(v, int) for v in grid):
-        raise InvalidConfig(f"N_grid entries must be integers, got {grid!r}")
-    fit = fit_exponent(config, p, q, grid)
+    fit = fit_exponent(config, p, q, [_integer("N_grid entry", v, positive=False) for v in grid])
 
-    solver_line = ""
+    lines = ["N,neg_ln_beta,fitted"]
+    lines += [f"{total},{_fmt(v)},{_fmt(fit.slope * total + fit.intercept)}" for total, v in fit.points]
+    lines.append(
+        f"# slope={_fmt(fit.slope)} nats/sample intercept={_fmt(fit.intercept)} "
+        f"r_squared={_fmt(fit.r_squared)}"
+    )
     if q.strictly_positive:
         solved = solve_exponent(p, q)
-        solver_line = (
-            f"# solver exponent={format_float(solved.exponent)} "
-            f"slope/exponent={format_float(fit.slope / solved.exponent) if solved.exponent > 0 else 'inf'}"
-        )
-    lines = [FIT_CSV_HEADER]
-    lines.extend(exponent_fit_csv_rows(fit))
-    lines.append("# " + exponent_fit_summary(fit))
-    if solver_line:
-        lines.append(solver_line)
+        ratio = _fmt(fit.slope / solved.exponent) if solved.exponent > 0 else "inf"
+        lines.append(f"# solver exponent={_fmt(solved.exponent)} slope/exponent={ratio}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
-def _wald_suite(rng: np.random.Generator, horizon: int, cases: int):
-    """Deterministic-stop, first-hit, and randomized threshold rules."""
-    checks: list[tuple[str, Callable[[], Any]]] = []
+def _wald_checks(rng: np.random.Generator, horizon: int, cases: int):
+    """(line, passed) for the deterministic-stop, first-hit and randomized
+    threshold rules, each run as it is drawn."""
 
-    def make(name, p0, q0, rule):
+    def check(name, p0, q0, rule):
         p = Pmf.from_probs([p0, 1 - p0])
         q = Pmf.from_probs([q0, 1 - q0])
-        return (name, lambda: verify_wald_identity(p, q, rule, horizon))
+        r = verify_wald_identity(p, q, rule, horizon)
+        return f"wald {name}: lhs={_fmt(r.lhs)} rhs={_fmt(r.rhs)} gap={_fmt(r.gap)}", r.holds(1e-9)
 
-    checks.append(make("deterministic-stop", 0.5, 0.9, lambda prefix: len(prefix) >= min(3, horizon)))
-    checks.append(make("stop-at-first-1", 0.5, 0.9, lambda prefix: prefix[-1] == 1))
+    yield check("deterministic-stop", 0.5, 0.9, lambda prefix: len(prefix) >= min(3, horizon))
+    yield check("stop-at-first-1", 0.5, 0.9, lambda prefix: prefix[-1] == 1)
     for i in range(cases):
         p0 = float(rng.uniform(0.1, 0.9))
         q0 = float(rng.uniform(0.1, 0.9))
         threshold = int(rng.integers(1, horizon + 1))
-        rule = lambda prefix, c=threshold: prefix.count(0) >= c
-        checks.append(make(f"threshold-{i}(count0>={threshold})", p0, q0, rule))
-    return checks
+        rule = lambda prefix: prefix.count(0) >= threshold
+        yield check(f"threshold-{i}(count0>={threshold})", p0, q0, rule)
 
 
-def _acceptance_bound_suite(rng: np.random.Generator, horizon: int, cases: int):
-    checks = []
+def _acceptance_bound_checks(rng: np.random.Generator, horizon: int, cases: int):
+    """(line, passed) for random sets under a stopping law or rule, each
+    run as it is drawn, so one case's sets are held at a time."""
     for i in range(cases):
         p0 = float(rng.uniform(0.1, 0.9))
         q0 = float(rng.uniform(0.1, 0.9))
@@ -274,15 +267,11 @@ def _acceptance_bound_suite(rng: np.random.Generator, horizon: int, cases: int):
             desc = "law"
         else:
             threshold = int(rng.integers(1, horizon + 1))
-            stopping = lambda prefix, c=threshold: prefix.count(1) >= c
+            stopping = lambda prefix: prefix.count(1) >= threshold
             desc = f"rule(count1>={threshold})"
-        checks.append(
-            (
-                f"case-{i}({desc})",
-                lambda p=p, q=q, s=stopping, a=sets: verify_acceptance_bound(p, q, s, a, horizon),
-            )
-        )
-    return checks
+        r = verify_acceptance_bound(p, q, stopping, sets, horizon)
+        line = f"set-bound case-{i}({desc}): lhs={_fmt(r.lhs)} bound={_fmt(r.bound_nats)} loose={_fmt(r.bound_loose)}"
+        yield line, r.holds and r.holds_loose
 
 
 def cmd_verify(args) -> int:
@@ -290,9 +279,10 @@ def cmd_verify(args) -> int:
     section = raw.get("verify", {})
     if not isinstance(section, Mapping):
         raise InvalidConfig(f"the 'verify' section must be a JSON object, got {section!r}")
-    wald_horizon = _int_field(section, "wald_horizon", 8)
-    set_bound_horizon = _int_field(section, "set_bound_horizon", 6)
-    cases = _int_field(section, "cases", 20)
+    wald_horizon, set_bound_horizon, cases = (
+        _integer(key, section.get(key, default), positive=False)
+        for key, default in (("wald_horizon", 8), ("set_bound_horizon", 6), ("cases", 20))
+    )
     if not (1 <= wald_horizon <= WALD_HORIZON_LIMIT):
         raise InvalidConfig(
             f"wald_horizon must be in 1..{WALD_HORIZON_LIMIT} (exact enumeration), got {wald_horizon}"
@@ -304,33 +294,19 @@ def cmd_verify(args) -> int:
     if cases < 1:
         raise InvalidConfig(f"cases must be >= 1, got {cases}")
     seed = _resolve_int(args, raw, "seed", 0)
+    if seed < 0:
+        raise InvalidConfig(f"the verify seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
 
     lines = []
-    failures = []
-    for name, run in _wald_suite(rng, wald_horizon, cases):
-        report = run()
-        ok = report.holds(1e-9)
-        lines.append(
-            f"wald {name}: lhs={format_float(report.lhs)} rhs={format_float(report.rhs)} "
-            f"gap={format_float(report.gap)} {'pass' if ok else 'FAIL'}"
-        )
-        if not ok:
-            failures.append(lines[-1])
-    for name, run in _acceptance_bound_suite(rng, set_bound_horizon, cases):
-        report = run()
-        ok = report.holds and report.holds_loose
-        lines.append(
-            f"set-bound {name}: lhs={format_float(report.lhs)} "
-            f"bound={format_float(report.bound_nats)} "
-            f"loose={format_float(report.bound_loose)} {'pass' if ok else 'FAIL'}"
-        )
-        if not ok:
-            failures.append(lines[-1])
+    failures = 0
+    # The suites share the rng: every Wald check is drawn before any set-bound one.
+    checks = chain(_wald_checks(rng, wald_horizon, cases), _acceptance_bound_checks(rng, set_bound_horizon, cases))
+    for text, ok in checks:
+        lines.append(f"{text} {'pass' if ok else 'FAIL'}")
+        failures += not ok
     lines.append(
-        f"{len(failures)} failures out of {2 * cases + 2} checks"
-        if failures
-        else f"all {2 * cases + 2} checks passed"
+        f"{failures} failures out of {len(lines)} checks" if failures else f"all {len(lines)} checks passed"
     )
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_VERIFY_FAILED if failures else EXIT_OK

@@ -28,6 +28,9 @@ from .errors import (
 )
 from .prob import JointPmf, kl_divergence
 
+# Most points the 2x2 grid oracle scans.
+_MAX_GRID_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -182,7 +185,9 @@ def grid_oracle_exponent(p: JointPmf, q: JointPmf, grid_step: float) -> float:
     With both marginals pinned, a 2x2 joint has one free cell
     t = M(0, 0) ranging over [max(0, u + v - 1), min(u, v)] for row/column
     targets u, v. Scanning t at ``grid_step`` resolution brackets the true
-    minimum within a Lipschitz(grid_step) error.
+    minimum within a Lipschitz(grid_step) error. The scan holds about 100
+    bytes per point, so a step that would scan more than 10^6 points raises
+    ``InvalidConfig`` before any array is built.
     """
     _require_binary_pair(p, q)
     if not (grid_step > 0):
@@ -191,6 +196,11 @@ def grid_oracle_exponent(p: JointPmf, q: JointPmf, grid_step: float) -> float:
     v = float(p.probs[:, 0].sum())
     lo = max(0.0, u + v - 1.0)
     hi = min(u, v)
+    # ceil((hi - lo) / grid_step) + 1 points, past 10^6 exactly when this holds.
+    if (hi - lo) / grid_step > _MAX_GRID_POINTS - 1:
+        raise InvalidConfig(
+            f"grid_step {grid_step} would scan more than {_MAX_GRID_POINTS} points on [{lo}, {hi}]"
+        )
     if hi <= lo:
         ts = np.array([lo])
     else:

@@ -54,7 +54,6 @@ from .errors import (
 from .prob import JointPmf, Pmf, kl_divergence
 from .protocol import (
     ACCEPT,
-    REJECT,
     PolicyKind,
     ProtocolConfig,
     _rule,
@@ -619,29 +618,28 @@ def monte_carlo_errors(
     trials, threads = _integer("trials", trials), _integer("threads", threads)
     seed = _integer("seed", seed, positive=False)
 
-    def _run(hyp_index: int, joint: JointPmf) -> tuple[np.ndarray, np.ndarray]:
+    def _run(hyp_index: int, joint: JointPmf) -> tuple[int, int]:
+        """Accepts and the stopping-time sum: each chunk derives its own
+        seeds and returns two integers, so memory is one chunk's per thread."""
         master = int(derive_seed(seed, hyp_index))
-        seeds = derive_seed(master, np.arange(trials, dtype=np.uint64))
-        spans = [(lo, min(lo + _MC_CHUNK, trials)) for lo in range(0, trials, _MC_CHUNK)]
-        def work(span):
-            lo, hi = span
-            return simulate_batch(config, p, joint, seeds[lo:hi])
-        if threads == 1 or len(spans) == 1:
-            parts = [work(s) for s in spans]
+        def work(lo):
+            seeds = derive_seed(master, np.arange(lo, min(lo + _MC_CHUNK, trials), dtype=np.uint64))
+            decisions, stops = simulate_batch(config, p, joint, seeds)
+            return int((decisions == ACCEPT).sum()), int(stops.sum())
+        starts = range(0, trials, _MC_CHUNK)
+        if threads == 1 or len(starts) == 1:
+            parts = [work(lo) for lo in starts]
         else:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(work, spans))
-        return (
-            np.concatenate([d for d, _ in parts]),
-            np.concatenate([s for _, s in parts]),
-        )
+                parts = list(pool.map(work, starts))
+        return sum(a for a, _ in parts), sum(s for _, s in parts)
 
-    dec0, stop0 = _run(0, p)
-    dec1, stop1 = _run(1, q)
-    alpha = int((dec0 == REJECT).sum()) / trials
-    beta = int((dec1 == ACCEPT).sum()) / trials
+    accepts0, stops0 = _run(0, p)
+    accepts1, stops1 = _run(1, q)
+    alpha = (trials - accepts0) / trials
+    beta = accepts1 / trials
     return ErrorReport(
         n=config.n,
         k=config.k,
@@ -650,8 +648,8 @@ def monte_carlo_errors(
         beta=beta,
         log_alpha=math.log(alpha) if alpha > 0 else -math.inf,
         log_beta=math.log(beta) if beta > 0 else -math.inf,
-        e_t_h0=int(stop0.sum()) / trials,
-        e_t_h1=int(stop1.sum()) / trials,
+        e_t_h0=stops0 / trials,
+        e_t_h1=stops1 / trials,
         method="mc",
         trials=trials,
         ci_halfwidth=wilson_halfwidth(beta, trials),
@@ -848,49 +846,4 @@ def verify_acceptance_bound(
         per_sample_divergence=per_sample,
         bound_nats=e_t * per_sample + math.log(2.0),
         bound_loose=e_t * per_sample + 1.0,
-    )
-
-
-ERROR_CSV_HEADER = "N,n,k,eta,alpha,beta,neg_ln_beta_per_N,e_t_h0,e_t_h1,method,trials,ci"
-FIT_CSV_HEADER = "N,neg_ln_beta,fitted"
-
-
-def format_float(x: float) -> str:
-    """Canonical float rendering for CSV: 17 significant digits, '.' separator."""
-    return f"{x:.17g}"
-
-
-def error_report_csv_row(report: ErrorReport) -> str:
-    trials = "" if report.trials is None else str(report.trials)
-    ci = "" if report.ci_halfwidth is None else format_float(report.ci_halfwidth)
-    fields = [
-        str(report.total_samples),
-        str(report.n),
-        str(report.k),
-        format_float(report.eta),
-        format_float(report.alpha),
-        format_float(report.beta),
-        format_float(report.neg_ln_beta_per_sample),
-        format_float(report.e_t_h0),
-        format_float(report.e_t_h1),
-        report.method,
-        trials,
-        ci,
-    ]
-    return ",".join(fields)
-
-
-def exponent_fit_csv_rows(fit: ExponentFit) -> list[str]:
-    rows = []
-    for total, value in fit.points:
-        fitted = fit.slope * total + fit.intercept
-        rows.append(f"{total},{format_float(value)},{format_float(fitted)}")
-    return rows
-
-
-def exponent_fit_summary(fit: ExponentFit) -> str:
-    return (
-        f"slope={format_float(fit.slope)} nats/sample "
-        f"intercept={format_float(fit.intercept)} "
-        f"r_squared={format_float(fit.r_squared)}"
     )

@@ -74,6 +74,15 @@ REJECT = 1
 CONTINUE = None  # the "need more samples" verdict
 
 
+def _member(name: str, kind: type[Enum], value) -> Enum:
+    """``kind(value)``, or ``InvalidConfig`` naming ``name`` and the allowed values."""
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(repr(m.value) for m in kind)
+        raise InvalidConfig(f"{name} must be one of {allowed}, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Static parameters of one protocol instance.
@@ -81,9 +90,11 @@ class ProtocolConfig:
     ``n`` bounds the number of rounds (both policies guarantee T <= n, so the
     expected stopping time meets its budget with certainty), ``k`` is the
     samples-per-round block size, ``eta`` the typicality margin, and
-    ``epsilon`` the type-I error budget the margin is meant to honor.
-    ``eta >= 1`` is legal and makes every sequence typical. Both are kept as
-    Python floats, so ``reject_margin`` computes in float64 as the windows do.
+    ``epsilon`` a type-I error budget that is validated and stored but that
+    no library code reads: nothing calibrates ``eta`` to it or checks alpha
+    against it. ``eta >= 1`` is legal and makes every sequence typical. Both
+    are kept as Python floats, so ``reject_margin`` computes in float64 as
+    the windows do.
     """
 
     k: int
@@ -103,12 +114,7 @@ class ProtocolConfig:
         if not (0.0 < self.epsilon < 1.0):
             raise InvalidConfig(f"epsilon must lie in (0, 1), got {self.epsilon}")
         for name, kind in (("encoder_kind", EncoderKind), ("policy_kind", PolicyKind)):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, kind(value))
-            except ValueError:
-                allowed = ", ".join(repr(m.value) for m in kind)
-                raise InvalidConfig(f"{name} must be one of {allowed}, got {value!r}") from None
+            object.__setattr__(self, name, _member(name, kind, getattr(self, name)))
 
     @property
     def total_samples(self) -> int:
@@ -132,8 +138,9 @@ def default_eta(n: int, k: int) -> float:
 
     Wide enough that marginal-type concentration drives the type-I error to
     zero as the sample budget grows, but shrinking so the exponent approaches
-    the unrelaxed optimum. Callers verify alpha <= epsilon exactly instead of
-    trusting the concentration bound.
+    the unrelaxed optimum. Nothing checks the resulting alpha against
+    ``ProtocolConfig.epsilon``; a caller who needs alpha <= epsilon must
+    compare an exact or Monte Carlo alpha with it.
     """
     total = n * k
     if total < 2:
@@ -178,7 +185,7 @@ class SourceModel:
     rng_seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "hypothesis", Hypothesis(self.hypothesis))
+        object.__setattr__(self, "hypothesis", _member("hypothesis", Hypothesis, self.hypothesis))
         if not isinstance(self.joint, JointPmf):
             raise InvalidConfig(f"source joint must be a JointPmf, got {type(self.joint).__name__}")
         seed = _integer("rng_seed", self.rng_seed, positive=False)

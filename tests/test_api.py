@@ -10,10 +10,8 @@ PUBLIC_NAMES = [
     # exponent
     "ExponentResult", "SolverOptions", "grid_oracle_exponent", "relaxed_exponent_oracle", "solve_exponent",
     # harness
-    "AcceptanceBoundReport", "ERROR_CSV_HEADER", "ErrorReport", "ExponentFit", "FIT_CSV_HEADER",
-    "WaldReport", "error_report_csv_row", "exact_errors", "exponent_fit_csv_rows", "exponent_fit_summary",
-    "fit_exponent", "format_float", "monte_carlo_errors", "verify_acceptance_bound",
-    "verify_wald_identity", "wilson_halfwidth",
+    "AcceptanceBoundReport", "ErrorReport", "ExponentFit", "WaldReport", "exact_errors", "fit_exponent",
+    "monte_carlo_errors", "verify_acceptance_bound", "verify_wald_identity", "wilson_halfwidth",
     # prob
     "EmpiricalType", "JointPmf", "Pmf", "count_type_vectors", "empirical_type", "kl_divergence",
     "linf_distance", "marginals",
@@ -25,7 +23,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 57
+    assert len(PUBLIC_NAMES) == 51
     assert len(seqht.__all__) == len(set(seqht.__all__))
     assert sorted(seqht.__all__) == sorted(PUBLIC_NAMES)
     assert all(hasattr(seqht, name) for name in PUBLIC_NAMES)

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,12 +11,13 @@ from pathlib import Path
 import pytest
 
 import seqht
-from seqht import JointPmf, ProtocolConfig, exact_errors
+from seqht import JointPmf, ProtocolConfig, exact_errors, fit_exponent, monte_carlo_errors
 from seqht.cli import (
     EXIT_BUDGET,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_VALIDATION,
+    _fmt,
     main,
 )
 
@@ -403,6 +406,8 @@ SIM = {"P_XY": PRODUCT_P, "Q_XY": UNIFORM}
         ("simulate", {**SIM, "protocol": {"k": 2, "n": 5, "encoder_kind": "bogus"}}, "encoder_kind"),
         ("simulate", {**SIM, "protocol": {"k": 2, "n": 5, "policy_kind": 5}}, "policy_kind"),
         ("verify", {"verify": [1, 2]}, "verify"),
+        ("exponent", {**SIM, "grid_step": 1e-7}, "grid_step"),
+        ("verify", {"seed": -3}, "seed"),
     ],
 )
 def test_bad_scalar_field_is_a_validation_error(tmp_path, capsys, command, body, field):
@@ -511,9 +516,135 @@ def test_verify_rejects_oversized_horizons(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_rejects_a_negative_seed_flag(capsys):
+    assert run(["verify", "--seed", "-1"]) == EXIT_VALIDATION
+    assert "seed" in capsys.readouterr().err
+
+
 def test_verify_small_suite_config(tmp_path, capsys):
     cfg = write_config(
         tmp_path, verify={"wald_horizon": 6, "set_bound_horizon": 4, "cases": 3}, seed=5
     )
     assert run(["verify", "--config", cfg]) == EXIT_OK
     assert "all 8 checks passed" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# output format
+
+
+def test_error_csv_row_exact_leaves_mc_columns_empty(tmp_path, capsys):
+    cfg = write_config(tmp_path, P_XY=UNIFORM, Q_XY=UNIFORM, protocol={"k": 2, "n": 1, "eta": 0.25})
+    assert run(["simulate", "--config", cfg]) == EXIT_OK
+    header, row = capsys.readouterr().out.strip().split("\n")
+    fields = row.split(",")
+    assert len(fields) == len(header.split(","))
+    assert fields[0] == "2" and fields[1] == "1" and fields[2] == "2"
+    assert fields[4] == "0.75" and fields[5] == "0.25"
+    assert fields[9] == "exact"
+    assert fields[10] == "" and fields[11] == ""
+
+
+def test_error_csv_row_mc_fills_all_columns(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, P_XY=UNIFORM, Q_XY=UNIFORM, protocol={"k": 2, "n": 5, "eta": 0.2},
+        method="mc", trials=256, seed=5,
+    )
+    assert run(["simulate", "--config", cfg]) == EXIT_OK
+    fields = capsys.readouterr().out.strip().split("\n")[1].split(",")
+    uniform = JointPmf.from_probs(UNIFORM)
+    report = monte_carlo_errors(ProtocolConfig(k=2, n=5, eta=0.2), uniform, uniform, trials=256, seed=5)
+    assert fields[9] == "mc"
+    assert fields[10] == "256"
+    assert float(fields[11]) == report.ci_halfwidth
+
+
+def test_fit_csv_rows_follow_the_line(tmp_path, capsys):
+    p = [[0.5, 0.2], [0.1, 0.2]]
+    cfg = write_config(
+        tmp_path, P_XY=p, Q_XY=UNIFORM, protocol={"k": 1, "n": 10, "eta": 0.2}, N_grid=[20, 40, 60, 80]
+    )
+    assert run(["fit", "--config", cfg]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().split("\n")
+    fit = fit_exponent(
+        ProtocolConfig(k=1, n=10, eta=0.2), JointPmf.from_probs(p), JointPmf.from_probs(UNIFORM),
+        budget_grid=[20, 40, 60, 80],
+    )
+    assert lines[0] == "N,neg_ln_beta,fitted"
+    for row, (total, value) in zip(lines[1:5], fit.points, strict=True):
+        cells = row.split(",")
+        assert cells[0] == str(total)
+        assert float(cells[1]) == value
+        assert math.isclose(float(cells[2]), fit.slope * total + fit.intercept, rel_tol=1e-12)
+    assert lines[5].startswith(f"# slope={_fmt(fit.slope)} nats/sample")
+
+
+def test_float_formatter_round_trips():
+    for value in (0.1, 1.0 / 3.0, 1e-300, 0.25, 123456.789, 6.5e-290):
+        assert float(_fmt(value)) == value
+    assert _fmt(0.25) == "0.25"
+
+
+# ---------------------------------------------------------------------------
+# output bytes
+
+P_3X3 = [[0.30, 0.05, 0.05], [0.05, 0.20, 0.05], [0.05, 0.05, 0.20]]
+UNIFORM_3X3 = [[1.0 / 9.0] * 3 for _ in range(3)]
+CORRELATED = [[0.5, 0.2], [0.1, 0.2]]
+MC = {
+    **SIM, "protocol": {"k": 1, "n": 10, "eta": 0.2, "policy_kind": "early_decide"},
+    "method": "mc", "trials": 40_000, "seed": 11,
+}
+
+# The sha256 of each subcommand's stdout on small fixed configs, so that a
+# change to how any number is printed shows here, not downstream.
+GOLDEN = {
+    "simulate-exact": (
+        ["simulate"], {"P_XY": CORRELATED, "Q_XY": UNIFORM, "protocol": {"k": 2, "n": 20, "eta": 0.1}},
+        "756419e6744fb5504b87ec5fc928023b815f7d2e7aca2bc8abbf3336e12ded7f",
+    ),
+    "simulate-early": (
+        ["simulate"], {**SIM, "protocol": {"k": 2, "n": 16, "eta": 0.1, "policy_kind": "early_decide"}},
+        "74f42cf968c3fff93956f4c1e28b02ec509e3b92351d947c384d6e17073254b4",
+    ),
+    "simulate-3x3": (
+        ["simulate"], {"P_XY": P_3X3, "Q_XY": UNIFORM_3X3, "protocol": {"k": 2, "n": 4, "eta": 0.2}},
+        "b30d487962bcf33c3e793459592f708e01ca7a7ed7149c5f9c17305e8b464cbd",
+    ),
+    "simulate-mc-1": (
+        ["simulate", "--threads", "1"], MC,
+        "957ec3d10098ec2a1f48e160dd708cd20b1d365c161e7075b79171d77a4eaa73",
+    ),
+    "simulate-mc-2": (
+        ["simulate", "--threads", "2"], MC,
+        "957ec3d10098ec2a1f48e160dd708cd20b1d365c161e7075b79171d77a4eaa73",
+    ),
+    "fit": (
+        ["fit"],
+        {"P_XY": CORRELATED, "Q_XY": UNIFORM, "protocol": {"k": 2, "n": 10, "eta": 0.2},
+         "N_grid": [40, 80, 120, 160]},
+        "95d63c594fc948194a7c746755c649f41f99cb76b3c03f8d3db03cd9cccffac9",
+    ),
+    "exponent-2x2": (
+        ["exponent"], SIM,
+        "c4aad1ea041c4d17ec24167622a3b408fec0b7e4c34806b48ab383fec2294198",
+    ),
+    "exponent-3x3": (
+        ["exponent"], {"P_XY": P_3X3, "Q_XY": UNIFORM_3X3},
+        "ce430b90cb1d90af11230406cbf9e5f8eb02b2757af975305cc6c63c907987c9",
+    ),
+    "verify": (
+        ["verify"], None,
+        "92c58442358df6a6e6cae3df4c12530120d7aa3b4346531b20394c7eab6f4763",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_stdout_bytes_are_pinned(tmp_path, capsys, case):
+    argv, body, digest = GOLDEN[case]
+    if body is not None:
+        argv = [*argv, "--config", write_config(tmp_path, **body)]
+    assert run(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out

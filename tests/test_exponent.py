@@ -174,6 +174,17 @@ def test_grid_oracle_trivial_and_degenerate_cases():
     assert grid_oracle_exponent(p, UNIFORM, 1e-3) == pytest.approx(expected, abs=1e-12)
 
 
+def test_grid_oracle_refuses_a_scan_past_a_million_points():
+    # PRODUCT_P's coupling cell ranges over [0.8, 0.9]: a step of 1e-7 would
+    # scan 1,000,001 points (about 100 MB), 1e-6 scans 100,001.
+    with pytest.raises(InvalidConfig, match="grid_step"):
+        grid_oracle_exponent(PRODUCT_P, UNIFORM, 1e-7)
+    assert abs(grid_oracle_exponent(PRODUCT_P, UNIFORM, 1e-6) - PRODUCT_EXPONENT) <= 1e-6
+    # A pinned coupling scans one point at any step.
+    p = JointPmf.from_probs([[0.6, 0.4], [0.0, 0.0]])
+    assert grid_oracle_exponent(p, UNIFORM, 1e-300) == pytest.approx(kl_divergence(p, UNIFORM), abs=1e-12)
+
+
 def test_grid_oracle_rejects_larger_alphabets():
     p = JointPmf.from_probs(np.full((3, 3), 1 / 9))
     q = JointPmf.from_probs(np.full((3, 3), 1 / 9))

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,11 +19,10 @@ from _oracles import (
     joint_type_enumeration,
 )
 from seqht import (
+    ACCEPT,
     CONTINUE,
     EncoderKind,
-    ERROR_CSV_HEADER,
     ErrorReport,
-    FIT_CSV_HEADER,
     HorizonTooLarge,
     InvalidConfig,
     JointPmf,
@@ -32,26 +32,25 @@ from seqht import (
     Pmf,
     PolicyKind,
     ProtocolConfig,
+    REJECT,
     TooLarge,
     decide,
     default_eta,
     encode,
-    error_report_csv_row,
     exact_errors,
-    exponent_fit_csv_rows,
-    exponent_fit_summary,
     fit_exponent,
-    format_float,
     kl_divergence,
     marginals,
     monte_carlo_errors,
     relaxed_exponent_oracle,
+    simulate_batch,
     solve_exponent,
     verify_acceptance_bound,
     verify_wald_identity,
     wilson_halfwidth,
 )
 from seqht.harness import (
+    _MC_CHUNK,
     _binary_log_accept,
     _binom_rows,
     _exact_binary,
@@ -61,6 +60,7 @@ from seqht.harness import (
     _logsumexp,
 )
 from seqht.protocol import _DecisionRule
+from seqht.rng import derive_seed
 
 UNIFORM = JointPmf.from_probs([[0.25, 0.25], [0.25, 0.25]])
 PRODUCT_P = JointPmf.from_probs([[0.81, 0.09], [0.09, 0.01]])
@@ -581,6 +581,38 @@ def test_monte_carlo_thread_count_is_cosmetic():
     assert lone == pooled
 
 
+def test_monte_carlo_counts_the_outcome_of_every_trial():
+    """The report is the tally of one batch over all trials' seeds, at any
+    thread count, though each chunk derives its own seeds."""
+    config = ProtocolConfig(k=1, n=6, eta=0.2, policy_kind=PolicyKind.EARLY_DECIDE)
+    trials = 2 * _MC_CHUNK + 5
+    outcomes = []
+    for index, joint in enumerate((CORRELATED, UNIFORM)):
+        seeds = derive_seed(int(derive_seed(21, index)), np.arange(trials, dtype=np.uint64))
+        outcomes.append(simulate_batch(config, CORRELATED, joint, seeds))
+    (dec0, stop0), (dec1, stop1) = outcomes
+    for threads in (1, 2):
+        report = monte_carlo_errors(config, CORRELATED, UNIFORM, trials, seed=21, threads=threads)
+        assert report.alpha == int((dec0 == REJECT).sum()) / trials
+        assert report.beta == int((dec1 == ACCEPT).sum()) / trials
+        assert (report.e_t_h0, report.e_t_h1) == (int(stop0.sum()) / trials, int(stop1.sum()) / trials)
+
+
+def test_monte_carlo_memory_stays_flat_as_trials_grow():
+    config = ProtocolConfig(k=1, n=2, eta=0.2)
+    monte_carlo_errors(config, CORRELATED, UNIFORM, trials=16, seed=3)
+
+    def peak(chunks: int) -> int:
+        tracemalloc.start()
+        try:
+            monte_carlo_errors(config, CORRELATED, UNIFORM, trials=chunks * _MC_CHUNK, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16) <= 1.5 * peak(4)
+
+
 def test_monte_carlo_identical_hypotheses():
     config = ProtocolConfig(k=2, n=10, eta=0.25)
     mc = monte_carlo_errors(config, UNIFORM, UNIFORM, trials=30_000, seed=77)
@@ -850,49 +882,3 @@ def test_acceptance_bound_validation():
     with pytest.raises(NotStrictlyPositive):
         verify_acceptance_bound(p, Pmf.from_probs([1.0, 0.0]), {1: 1.0}, {}, horizon_cap=1)
 
-
-# ---------------------------------------------------------------------------
-# CSV plumbing
-
-
-def test_error_csv_row_exact_leaves_mc_columns_empty():
-    config = ProtocolConfig(k=2, n=1, eta=0.25)
-    report = exact_errors(config, UNIFORM, UNIFORM)
-    row = error_report_csv_row(report)
-    fields = row.split(",")
-    assert len(fields) == len(ERROR_CSV_HEADER.split(","))
-    assert fields[0] == "2" and fields[1] == "1" and fields[2] == "2"
-    assert fields[4] == "0.75" and fields[5] == "0.25"
-    assert fields[9] == "exact"
-    assert fields[10] == "" and fields[11] == ""
-
-
-def test_error_csv_row_mc_fills_all_columns():
-    config = ProtocolConfig(k=2, n=5, eta=0.2)
-    report = monte_carlo_errors(config, UNIFORM, UNIFORM, trials=256, seed=5)
-    fields = error_report_csv_row(report).split(",")
-    assert fields[9] == "mc"
-    assert fields[10] == "256"
-    assert float(fields[11]) == report.ci_halfwidth
-
-
-def test_fit_csv_rows_follow_the_line():
-    config = ProtocolConfig(k=1, n=10, eta=0.2)
-    fit = fit_exponent(config, CORRELATED, UNIFORM, budget_grid=[20, 40, 60, 80])
-    rows = exponent_fit_csv_rows(fit)
-    assert len(rows) == 4
-    for row, (total, value) in zip(rows, fit.points):
-        cells = row.split(",")
-        assert cells[0] == str(total)
-        assert float(cells[1]) == value
-        assert math.isclose(
-            float(cells[2]), fit.slope * total + fit.intercept, rel_tol=1e-12
-        )
-    summary = exponent_fit_summary(fit)
-    assert format_float(fit.slope) in summary
-
-
-def test_format_float_round_trips():
-    for value in (0.1, 1.0 / 3.0, 1e-300, 0.25, 123456.789, 6.5e-290):
-        assert float(format_float(value)) == value
-    assert format_float(0.25) == "0.25"

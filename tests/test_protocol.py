@@ -828,6 +828,12 @@ def test_source_model_rejects_a_non_integer_seed_or_a_non_joint():
             SourceModel(Hypothesis.H0, bad, 1)
 
 
+def test_source_model_names_the_hypotheses_it_takes():
+    for bad in ("H2", "h0", None, 0):
+        with pytest.raises(InvalidConfig, match="hypothesis must be one of 'H0', 'H1'"):
+            SourceModel(bad, P_JOINT, 1)
+
+
 def test_marginals_of_product_joint():
     mx, my = marginals(P_JOINT)
     np.testing.assert_allclose(mx.probs, [0.75, 0.25], atol=1e-15)
