@@ -27,7 +27,6 @@ from .exponent import (
     ExponentResult,
     SolverOptions,
     grid_oracle_exponent,
-    relaxed_exponent_oracle,
     solve_exponent,
 )
 from .harness import (
@@ -118,7 +117,6 @@ __all__ = [
     "linf_distance",
     "marginals",
     "monte_carlo_errors",
-    "relaxed_exponent_oracle",
     "run_protocol",
     "simulate_batch",
     "solve_exponent",

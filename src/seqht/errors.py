@@ -20,7 +20,9 @@ class UnsupportedMass(SeqHTError, ValueError):
 
 
 class LengthMismatch(SeqHTError, ValueError):
-    """Observed sequences are empty or of unequal length."""
+    """A sequence is empty or of the wrong length: an observed record, or a
+    member of an acceptance set. Two pmfs over different alphabets raise
+    ``AlphabetMismatch``."""
 
 
 class BadLength(SeqHTError, ValueError):

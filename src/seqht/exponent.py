@@ -7,8 +7,7 @@ column-marginal constraint sets), which converges geometrically whenever Q is
 strictly positive and needs no external optimization dependency.
 
 A brute-force grid oracle over the one-dimensional 2x2 transport polytope
-certifies the solver, and a box-relaxed variant of the same oracle supplies
-honest tolerance targets for finite-blocklength slope checks.
+certifies the solver.
 """
 
 from __future__ import annotations
@@ -19,14 +18,13 @@ from itertools import islice
 import numpy as np
 
 from .errors import (
-    AlphabetMismatch,
     InvalidConfig,
     NotStrictlyPositive,
     UnsupportedAlphabetSize,
     _integer,
     _real,
 )
-from .prob import JointPmf, kl_divergence
+from .prob import JointPmf, _require_same_shape, kl_divergence
 
 # Most points the 2x2 grid oracle scans.
 _MAX_GRID_POINTS = 10**6
@@ -71,8 +69,7 @@ class ExponentResult:
 
 
 def _check_joint_pair(p: JointPmf, q: JointPmf):
-    if p.probs.shape != q.probs.shape:
-        raise AlphabetMismatch(f"joint shapes differ: {p.probs.shape} vs {q.probs.shape}")
+    _require_same_shape(p, q, JointPmf)
     if not q.strictly_positive:
         raise NotStrictlyPositive(
             "the alternative joint must be strictly positive cell-wise"
@@ -208,48 +205,3 @@ def grid_oracle_exponent(p: JointPmf, q: JointPmf, grid_step: float) -> float:
         ts = np.append(ts, hi)
     d = _binary_coupling_divergences(ts, u, v, q.probs.ravel())
     return float(d.min())
-
-
-def relaxed_exponent_oracle(
-    p: JointPmf,
-    q: JointPmf,
-    eta: float,
-    grid_step: float = 1e-3,
-) -> float:
-    """Exponent minimized over joints whose marginals sit within eta of targets.
-
-    Brute-force over the 2x2 relaxed problem: row target u and column target v
-    each range over an eta-box around the true marginals (clipped to [0, 1]),
-    and for each (u, v) the coupling cell is scanned as in the exact oracle.
-    Used to set honest pass bands for finite-blocklength slope fits, where the
-    acceptance region's own marginal slack makes the operational exponent
-    strictly smaller than the unrelaxed value.
-    """
-    _require_binary_pair(p, q)
-    if not (eta >= 0):
-        raise InvalidConfig(f"eta must be >= 0, got {eta}")
-    if not (grid_step > 0):
-        raise InvalidConfig(f"grid_step must be > 0, got {grid_step}")
-
-    def _axis(center: float) -> np.ndarray:
-        lo = max(0.0, center - eta)
-        hi = min(1.0, center + eta)
-        n = max(2, int(np.ceil((hi - lo) / grid_step)) + 1)
-        return np.linspace(lo, hi, n)
-
-    us = _axis(float(p.probs[0].sum()))
-    vs = _axis(float(p.probs[:, 0].sum()))
-    q_cells = q.probs.ravel()
-
-    best = np.inf
-    # Chunk over the row-target axis to keep the (u, v, t) tensor small.
-    n_t = max(2, int(np.ceil(1.0 / grid_step)) + 1)
-    s = np.linspace(0.0, 1.0, n_t)
-    for u in us:
-        uu = np.full_like(vs, u)
-        lo = np.maximum(0.0, uu + vs - 1.0)
-        hi = np.minimum(uu, vs)
-        t = lo[:, None] + s[None, :] * np.maximum(hi - lo, 0.0)[:, None]
-        d = _binary_coupling_divergences(t, uu[:, None], vs[:, None], q_cells)
-        best = min(best, float(d.min()))
-    return best

@@ -51,7 +51,7 @@ from .errors import (
     TooLarge,
     _integer,
 )
-from .prob import JointPmf, Pmf, kl_divergence
+from .prob import JointPmf, Pmf, _require_same_shape, kl_divergence
 from .protocol import (
     ACCEPT,
     PolicyKind,
@@ -179,13 +179,6 @@ def wilson_halfwidth(p_hat: float, trials: int) -> float:
     z2 = z * z
     half = z * math.sqrt(p_hat * (1.0 - p_hat) / trials + z2 / (4.0 * trials * trials))
     return half / (1.0 + z2 / trials)
-
-
-def _check_instance(p: JointPmf, q: JointPmf):
-    if p.probs.shape != q.probs.shape:
-        raise LengthMismatch(
-            f"null shape {p.probs.shape} does not match alternative shape {q.probs.shape}"
-        )
 
 
 def _log_factorials(total: int) -> np.ndarray:
@@ -595,7 +588,7 @@ def exact_errors(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorRepor
     Both evaluators take the null's rule and a list of measures;
     ``fit_exponent`` passes the alternative alone.
     """
-    _check_instance(p, q)
+    _require_same_shape(p, q, JointPmf)
     return _exact_report(config, *_exact_log_accepts(config, p, (p, q)))
 
 
@@ -614,7 +607,7 @@ def monte_carlo_errors(
     re-uses earlier trials unchanged, and the worker count only partitions
     work (fixed chunk size, ordered integer reduction), never the outcome.
     """
-    _check_instance(p, q)
+    _require_same_shape(p, q, JointPmf)
     trials, threads = _integer("trials", trials), _integer("threads", threads)
     seed = _integer("seed", seed, positive=False)
 
@@ -681,7 +674,7 @@ def fit_exponent(
         raise InvalidConfig(
             f"need at least 2 distinct budgets to fit a slope, got {budgets}"
         )
-    _check_instance(p, q)
+    _require_same_shape(p, q, JointPmf)
     points = []
     for total in budgets:
         if total < config.k or total % config.k != 0:
@@ -716,9 +709,8 @@ StoppingRule = Callable[[tuple[int, ...]], bool]
 
 def _composite_pair(p: Pmf | JointPmf, q: Pmf | JointPmf, horizon: int):
     """(p, q) flattened over the composite alphabet, checked for exact enumeration."""
+    _require_same_shape(p, q)
     pv, qv = p.probs.ravel(), q.probs.ravel()
-    if pv.shape != qv.shape:
-        raise LengthMismatch("distributions have different alphabet sizes")
     if qv.min() <= 0.0:
         raise NotStrictlyPositive("the alternative must be strictly positive")
     if horizon < 1:

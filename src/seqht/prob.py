@@ -189,9 +189,14 @@ class EmpiricalType(_ArrayValue):
         return Pmf(self.counts / self.total)
 
 
-def _require_same_shape(p: Pmf | JointPmf, q: Pmf | JointPmf):
+def _require_same_shape(p: Pmf | JointPmf, q: Pmf | JointPmf, kind: type | None = None):
+    """The one check that two pmfs share their alphabets: ``AlphabetMismatch``
+    unless both are of one class and shape, and ``InvalidDistribution`` when
+    that class is not ``kind`` (``JointPmf`` for the protocol's entry points)."""
     if type(p) is not type(q):
         raise AlphabetMismatch(f"cannot mix {type(p).__name__} and {type(q).__name__}")
+    if kind is not None and not isinstance(p, kind):
+        raise InvalidDistribution(f"needs two {kind.__name__}s, got two {type(p).__name__}s")
     if p.probs.shape != q.probs.shape:
         raise AlphabetMismatch(f"shapes differ: {p.probs.shape} vs {q.probs.shape}")
 

@@ -47,6 +47,7 @@ from .prob import (
     EmpiricalType,
     JointPmf,
     Pmf,
+    _require_same_shape,
     _symbol_list,
     _tally,
     marginals,
@@ -243,22 +244,22 @@ class _DecisionRule:
     into a table of integer count windows.
 
     Symbol s passes on N samples when |c/N - p_s| <= margin for its raw
-    count c (``symbol_ok``). Float division by a positive N is monotone in c,
-    and so is subtracting p_s, so the counts that pass form one interval
-    [lo, hi], the symbol's window (empty when lo > hi). ``windows`` finds
-    each end from the estimate N(p_s -/+ margin), stepping one count at a
-    time until the float test holds at the end and fails just past it, so a
-    window costs O(1) tests and every verdict read off the table is the float
-    test's, bit for bit.
+    count c. Float division by a positive N is monotone in c, and so is
+    subtracting p_s, so the counts that pass form one interval [lo, hi], the
+    symbol's window (empty when lo > hi). ``windows`` finds each end from the
+    estimate N(p_s -/+ margin), stepping one count at a time until the float
+    test holds at the end and fails just past it, so a window costs O(1)
+    tests and every verdict read off the table is the float test's, bit for
+    bit. The float test itself is a test oracle (``tests/_oracles.py``): no
+    verdict computes it.
 
-    The table has three parts, each built on first use: ``horizon`` (lists
-    of Python ints, for the scalar compares), and ``x_rounds`` and
-    ``y_early`` (int64 arrays of n or n - 1 rows, 16 bytes per symbol and
-    round). The one-bit messages read ``x_rounds`` as lists
-    (``x_round_lists``); the other scalar readers turn rows into lists as
-    they go, and the batch simulator reads ``y_early`` recast as
-    ``y_checks``. ``_rule`` keeps one rule per config on the null pmf. ``p_y`` is None for
-    a sensor-side rule that only encodes.
+    The table has three parts, each built on first use: ``horizon`` and
+    ``x_rounds`` (lists of Python ints, for the scalar compares and the
+    one-bit messages), and ``y_early`` (an int64 array of n - 1 rows, 16
+    bytes per symbol and round), which the scalar readers turn into lists row
+    by row and the batch simulator reads recast as ``y_checks``. ``_rule``
+    keeps one rule per config on the null pmf. ``p_y`` is None for a
+    sensor-side rule that only encodes.
     """
 
     config: ProtocolConfig
@@ -270,22 +271,10 @@ class _DecisionRule:
         """Early-reject margins of rounds 1..n-1."""
         return self.config.reject_margin(np.arange(1, self.config.n))
 
-    def symbol_ok(self, counts, total, target, margin=None):
-        """The typicality test of each symbol s, on raw integer counts:
-        |counts[..., s] / total - target[s]| <= margin (eta unless given).
-
-        Arrays broadcast; on Python numbers it is the same IEEE arithmetic,
-        since counts and totals below 2**53 convert to floats exactly.
-        """
-        margin = self.config.eta if margin is None else margin
-        return abs(counts / total - target) <= margin
-
-    def typical(self, counts: np.ndarray, total, target: np.ndarray, margin=None) -> np.ndarray:
-        return self.symbol_ok(counts, total, target, margin).all(axis=-1)
-
     def windows(self, totals, target, margin=None) -> np.ndarray:
-        """The window of the counts that pass ``symbol_ok(c, totals, target,
-        margin)``, as [lo, hi] on a last axis, the arguments broadcast.
+        """The window of the counts c that pass the float test
+        |c / totals - target| <= margin (eta unless given), as [lo, hi] on a
+        last axis, the arguments broadcast.
 
         The test is -margin <= c/N - p <= margin, each half monotone in c: lo
         is the least count 0..N meeting the first (N + 1 if none does) and hi
@@ -313,16 +302,11 @@ class _DecisionRule:
         return [self.windows(total, pmf.probs).tolist() for pmf in (self.p_x, self.p_y)]
 
     @cached_property
-    def x_rounds(self) -> np.ndarray:
+    def x_rounds(self) -> list:
         """Row t-1: the x windows at eta over t*k samples, t = 1..n (the
         one-bit message of round t)."""
         totals = self.config.k * np.arange(1, self.config.n + 1)[:, None]
-        return self.windows(totals, self.p_x.probs)
-
-    @cached_property
-    def x_round_lists(self) -> list:
-        """``x_rounds`` as lists of Python ints, for the one-bit messages."""
-        return self.x_rounds.tolist()
+        return self.windows(totals, self.p_x.probs).tolist()
 
     @cached_property
     def y_early(self) -> np.ndarray:
@@ -378,7 +362,7 @@ def _payload(rule: _DecisionRule, t: int, x_counts: list[int]) -> int | Empirica
     """Round t's message payload for the x counts of its t*k samples: the
     typicality bit, or the type itself."""
     if rule.config.encoder_kind is EncoderKind.ONE_BIT:
-        return int(_inside(x_counts, rule.x_round_lists[t - 1]))
+        return int(_inside(x_counts, rule.x_rounds[t - 1]))
     return EmpiricalType(x_counts)
 
 
@@ -497,11 +481,7 @@ def run_protocol(config: ProtocolConfig, p_null: JointPmf, source: SourceModel) 
     the rounds played see the samples a round-by-round draw would. The drawn
     symbols are in range by construction and go to the replay unchecked.
     """
-    if source.joint.probs.shape != p_null.probs.shape:
-        raise LengthMismatch(
-            f"source joint shape {source.joint.probs.shape} does not match "
-            f"null joint shape {p_null.probs.shape}"
-        )
+    _require_same_shape(p_null, source.joint, JointPmf)
     rule = _rule(config, p_null)
     counters = np.arange(config.total_samples, dtype=np.uint64)
     m = uniform_ints(np.uint64(source.rng_seed), counters)
@@ -750,8 +730,7 @@ def simulate_batch(
     round of a block into a table of per-round cell counts, and peaks at
     2.7 MB of allocations, against 13.0 MB.
     """
-    if joint.probs.shape != p_null.probs.shape:
-        raise LengthMismatch("source joint shape does not match null joint shape")
+    _require_same_shape(p_null, joint, JointPmf)
     seeds = np.asarray(seeds, dtype=np.uint64)
     n, k = config.n, config.k
     shape = joint.probs.shape

@@ -1,8 +1,10 @@
 """Reference evaluators the exact fast paths are checked against.
 
 Every oracle here classifies counts with the decision rule's float test
-(``_DecisionRule.symbol_ok``), never with its count windows. ``binary_window``
-is that test on every binary type of one total.
+``symbol_ok``, defined here, and never with the rule's count windows: the
+library compiles the windows and computes no float test. ``typical`` is that
+test on every symbol at once, and ``binary_window`` on every binary type of
+one total.
 
 ``convolution_log_accept`` is the direct O(window_x * window_y * N) form of
 the binary fixed-horizon accept probability: for each typical x-count it
@@ -23,6 +25,11 @@ checked against.
 
 ``feasible_joint_divergence`` scores a coupling that shares the null's
 marginals; any such coupling must score at least the solved exponent.
+
+``relaxed_exponent_oracle`` is the 2x2 exponent with the marginals relaxed
+to an eta-box, by brute-force grid: the honest target for a slope fitted at
+finite N. Its memory grows as 1/grid_step^2, so it takes only the tests' own
+steps (1e-3, and 1e-4 at eta = 0).
 """
 
 from __future__ import annotations
@@ -34,17 +41,34 @@ from scipy.special import gammaln, logsumexp
 from scipy.stats import binom
 
 from seqht.errors import InvalidConfig
-from seqht.exponent import _check_joint_pair
+from seqht.exponent import _binary_coupling_divergences, _check_joint_pair, _require_binary_pair
 from seqht.harness import ErrorReport, _exact_report
 from seqht.prob import JointPmf, kl_divergence, marginals
 from seqht.protocol import ACCEPT, CONTINUE, REJECT, PolicyKind, ProtocolConfig, _DecisionRule
 
 
+def symbol_ok(counts, total, target, margin):
+    """The typicality test of each symbol s, on raw integer counts:
+    |counts[..., s] / total - target[s]| <= margin.
+
+    Arrays broadcast; on Python numbers it is the same IEEE arithmetic,
+    since counts and totals below 2**53 convert to floats exactly.
+    """
+    return abs(counts / total - target) <= margin
+
+
+def typical(counts: np.ndarray, total, target: np.ndarray, margin) -> np.ndarray:
+    """Whether every symbol passes ``symbol_ok``, over the last axis."""
+    return symbol_ok(counts, total, target, margin).all(axis=-1)
+
+
 def binary_window(rule: _DecisionRule, total: int, target: np.ndarray, margin=None) -> np.ndarray:
-    """The float test of each binary type (c, total - c), c = 0..total,
-    independent of the rule's count windows."""
+    """The float test of each binary type (c, total - c), c = 0..total, at
+    ``margin`` (the rule's eta unless given), independent of the rule's count
+    windows."""
     c = np.arange(total + 1)
-    return rule.typical(np.stack((c, total - c), axis=-1), total, target, margin)
+    margin = rule.config.eta if margin is None else margin
+    return typical(np.stack((c, total - c), axis=-1), total, target, margin)
 
 
 def convolution_log_accept(
@@ -140,8 +164,8 @@ def joint_type_enumeration(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> 
     # ok[s][count] tables of the rule's per-symbol test, so the loop below
     # scores a type by lookups alone.
     counts_0_to_total = np.arange(total + 1)[:, None]
-    ok_x = rule.symbol_ok(counts_0_to_total, total, rule.p_x.probs).T.tolist()
-    ok_y = rule.symbol_ok(counts_0_to_total, total, rule.p_y.probs).T.tolist()
+    ok_x = symbol_ok(counts_0_to_total, total, rule.p_x.probs, config.eta).T.tolist()
+    ok_y = symbol_ok(counts_0_to_total, total, rule.p_y.probs, config.eta).T.tolist()
 
     lg = [float(v) for v in gammaln(np.arange(total + 2))]
     log_p = [math.log(v) if v > 0 else -math.inf for v in p.probs.ravel()]
@@ -210,11 +234,11 @@ def float_replay(config: ProtocolConfig, p_null: JointPmf, x_seq, y_seq):
         cx = np.bincount(x[:total], minlength=nx)
         cy = np.bincount(y[:total], minlength=ny)
         rows.append(cx.tolist())
-        bits.append(int(rule.symbol_ok(cx, total, rule.p_x.probs).all()))
+        bits.append(int(symbol_ok(cx, total, rule.p_x.probs, config.eta).all()))
         if t == n:
-            y_ok = rule.symbol_ok(cy, total, rule.p_y.probs).all()
+            y_ok = symbol_ok(cy, total, rule.p_y.probs, config.eta).all()
             verdicts.append(ACCEPT if bits[-1] and y_ok else REJECT)
-        elif config.policy_kind is PolicyKind.EARLY_DECIDE and not rule.symbol_ok(
+        elif config.policy_kind is PolicyKind.EARLY_DECIDE and not symbol_ok(
             cy, total, rule.p_y.probs, config.reject_margin(t)
         ).all():
             verdicts.append(REJECT)
@@ -236,3 +260,48 @@ def feasible_joint_divergence(p: JointPmf, q: JointPmf, coupling: JointPmf) -> f
     if gap > 1e-6:
         raise InvalidConfig(f"coupling marginals off target by {gap}")
     return kl_divergence(coupling, q)
+
+
+def relaxed_exponent_oracle(
+    p: JointPmf,
+    q: JointPmf,
+    eta: float,
+    grid_step: float = 1e-3,
+) -> float:
+    """Exponent minimized over joints whose marginals sit within eta of targets.
+
+    Brute-force over the 2x2 relaxed problem: row target u and column target v
+    each range over an eta-box around the true marginals (clipped to [0, 1]),
+    and for each (u, v) the coupling cell is scanned as in the exact oracle.
+    Used to set honest pass bands for finite-blocklength slope fits, where the
+    acceptance region's own marginal slack makes the operational exponent
+    strictly smaller than the unrelaxed value.
+    """
+    _require_binary_pair(p, q)
+    if not (eta >= 0):
+        raise InvalidConfig(f"eta must be >= 0, got {eta}")
+    if not (grid_step > 0):
+        raise InvalidConfig(f"grid_step must be > 0, got {grid_step}")
+
+    def _axis(center: float) -> np.ndarray:
+        lo = max(0.0, center - eta)
+        hi = min(1.0, center + eta)
+        n = max(2, int(np.ceil((hi - lo) / grid_step)) + 1)
+        return np.linspace(lo, hi, n)
+
+    us = _axis(float(p.probs[0].sum()))
+    vs = _axis(float(p.probs[:, 0].sum()))
+    q_cells = q.probs.ravel()
+
+    best = np.inf
+    # Chunk over the row-target axis to keep the (u, v, t) tensor small.
+    n_t = max(2, int(np.ceil(1.0 / grid_step)) + 1)
+    s = np.linspace(0.0, 1.0, n_t)
+    for u in us:
+        uu = np.full_like(vs, u)
+        lo = np.maximum(0.0, uu + vs - 1.0)
+        hi = np.minimum(uu, vs)
+        t = lo[:, None] + s[None, :] * np.maximum(hi - lo, 0.0)[:, None]
+        d = _binary_coupling_divergences(t, uu[:, None], vs[:, None], q_cells)
+        best = min(best, float(d.min()))
+    return best

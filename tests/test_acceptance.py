@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from _bruteforce import enumerate_errors
+from _oracles import relaxed_exponent_oracle
 from seqht import (
     JointPmf,
     Pmf,
@@ -24,7 +25,6 @@ from seqht import (
     fit_exponent,
     grid_oracle_exponent,
     monte_carlo_errors,
-    relaxed_exponent_oracle,
     run_protocol,
     solve_exponent,
     verify_acceptance_bound,

@@ -4,7 +4,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from _oracles import feasible_joint_divergence
+from _oracles import feasible_joint_divergence, relaxed_exponent_oracle
 from seqht import (
     InvalidConfig,
     JointPmf,
@@ -15,7 +15,6 @@ from seqht import (
     grid_oracle_exponent,
     kl_divergence,
     marginals,
-    relaxed_exponent_oracle,
     solve_exponent,
 )
 from seqht.exponent import _ipf_sweeps

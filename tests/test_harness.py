@@ -17,9 +17,11 @@ from _oracles import (
     convolution_log_accept,
     early_binary_outcome,
     joint_type_enumeration,
+    relaxed_exponent_oracle,
 )
 from seqht import (
     ACCEPT,
+    AlphabetMismatch,
     CONTINUE,
     EncoderKind,
     ErrorReport,
@@ -42,7 +44,6 @@ from seqht import (
     kl_divergence,
     marginals,
     monte_carlo_errors,
-    relaxed_exponent_oracle,
     simulate_batch,
     solve_exponent,
     verify_acceptance_bound,
@@ -531,7 +532,7 @@ def test_three_by_three_exact_at_sixty_samples_matches_monte_carlo():
 def test_shape_mismatch_rejected():
     three = JointPmf.from_probs(np.full((3, 2), 1.0 / 6.0))
     config = ProtocolConfig(k=2, n=2, eta=0.2)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(AlphabetMismatch):
         exact_errors(config, UNIFORM, three)
 
 
@@ -795,7 +796,7 @@ def test_wald_identity_validation():
         verify_wald_identity(p, p, lambda prefix: True, 25)
     with pytest.raises(HorizonTooLarge):
         verify_wald_identity(p, p, lambda prefix: True, 0)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(AlphabetMismatch):
         verify_wald_identity(p, Pmf.from_probs([0.5, 0.25, 0.25]), lambda prefix: True, 3)
 
 

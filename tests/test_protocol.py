@@ -34,7 +34,7 @@ from seqht import (
     simulate_batch,
 )
 import seqht.protocol
-from _oracles import float_replay
+from _oracles import float_replay, symbol_ok, typical
 from seqht.rng import (
     categorical_cdf,
     categorical_thresholds,
@@ -277,12 +277,12 @@ def test_typicality_of_one_vector_is_the_array_test(counts, eta, offsets, ulps, 
     target = np.array([nudge(c / total + d * eta, u) for c, d, u in zip(counts, offsets, ulps)])
     cfg = ProtocolConfig(k=1, n=3, eta=eta, policy_kind="early_decide")
     rule = seqht.protocol._DecisionRule(cfg, Pmf.from_probs(np.full(len(counts), 1 / len(counts))))
-    margin = cfg.reject_margin(1) if early else None
+    margin = cfg.reject_margin(1) if early else cfg.eta
     c = np.array(counts)
     windows = rule.windows(total, target, margin).tolist()
     inside = [lo <= count <= hi for count, (lo, hi) in zip(counts, windows)]
-    assert inside == rule.symbol_ok(c, total, target, margin).tolist()
-    assert all(inside) == bool(rule.typical(c, total, target, margin))
+    assert inside == symbol_ok(c, total, target, margin).tolist()
+    assert all(inside) == bool(typical(c, total, target, margin))
 
 
 def _window_cases():
@@ -316,14 +316,14 @@ def test_count_windows_hold_exactly_the_counts_the_float_test_passes(probs, k, n
     empty = 0
     for t in range(1, n + 1):
         total = t * k
-        tables = [(rule.x_rounds[t - 1].tolist(), eta)]
+        tables = [(rule.x_rounds[t - 1], eta)]
         if t < n:
             tables.append((rule.y_early[t - 1].tolist(), cfg.reject_margin(t)))
         else:
             tables += [(windows, eta) for windows in rule.horizon]
         for windows, margin in tables:
             for p, (lo, hi) in zip(pmf.probs, windows):
-                passes = rule.symbol_ok(np.arange(total + 1), total, p, margin)
+                passes = symbol_ok(np.arange(total + 1), total, p, margin)
                 assert passes.tolist() == [lo <= c <= hi for c in range(total + 1)]
                 empty += lo > hi
     if probs == [0.5, 0.5] and eta == 1e-3:
