@@ -23,11 +23,6 @@ thousand samples the type-II error is around exp(-1400), far below the
 smallest positive double, so reports carry log-probabilities alongside the
 (possibly underflowed) linear values.
 
-The exact evaluators read their log-factorials and binomial terms from
-``scipy.special``, which this module imports on the first exact evaluation
-and not before: Monte Carlo, the verifiers and every other seqht module run
-without loading scipy.
-
 Also here: empirical exponent extraction by least squares over a grid of
 sample budgets, which evaluates the alternative only (the one measure that
 -ln(beta) reads), and exact small-horizon verifiers for the two identities
@@ -181,15 +176,107 @@ def wilson_halfwidth(p_hat: float, trials: int) -> float:
     return half / (1.0 + z2 / trials)
 
 
+# Coefficients of Moshier's Cephes ``lgam`` (Stirling series in 1/x^2) and
+# ``log1p`` (rational approximation on [sqrt(1/2) - 1, sqrt(2) - 1]), as in
+# the Cephes copy that scipy's ``xsf`` library carries.
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LOG1P_P = (
+    4.5270000862445199635215e-5,
+    4.9854102823193375972212e-1,
+    6.5787325942061044846969e0,
+    2.9911919328553073277375e1,
+    6.0949667980987787057556e1,
+    5.7112963590585538103336e1,
+    2.0039553499201281259648e1,
+)
+_LOG1P_Q = (  # leading coefficient 1
+    1.5062909083469192043167e1,
+    8.3047565967967209469434e1,
+    2.2176239823732856465394e2,
+    3.0909872225312059774938e2,
+    2.1642788614495947685003e2,
+    6.0118660497603843919306e1,
+)
+_SQRT1_2 = 0.70710678118654752440
+
+# The longest log-factorial table built so far. It is read-only and never
+# grown in place: a longer one replaces it, so a caller that read the old one
+# into a local still holds a whole table.
+_LG_TABLE = np.full(1, np.inf)
+_LG_TABLE.flags.writeable = False
+
+
+def _build_log_factorials(size: int) -> np.ndarray:
+    """Cephes ``lgam(x)`` for x = 0..size - 1, term for term: inf at 0, the
+    log of the running product (x - 1)...2 below 13, and from 13 up Stirling's
+    series, with the degree-4 ``A`` polynomial in 1/x^2 below 1000 and its
+    3-term tail from there. Past x = 1e8 ``lgam`` drops the series and this
+    copy does not; no exact evaluation gets near that (the table alone would
+    take 800 MB).
+
+    Every log is ``math.log``, libm's log as the C code calls it; ``np.log``
+    rounds some inputs differently in the last place, and the entries would
+    then miss ``gammaln``'s bits."""
+    table = np.empty(size)
+    # (x - 1)! below 13 is a product that doubles hold exactly.
+    table[:13] = [math.inf] + [math.log(math.factorial(c - 1)) for c in range(1, min(size, 13))]
+    x = np.arange(13, size, dtype=np.float64)
+    logs = np.fromiter(map(math.log, range(13, size)), np.float64, x.size)
+    p = 1.0 / (x * x)
+    series = np.full(x.size, _LGAM_A[0])
+    for coef in _LGAM_A[1:]:
+        series = series * p + coef
+    far = slice(1000 - 13, None)  # x >= 1000
+    tail = 7.9365079365079365079365e-4 * p[far] - 2.7777777777777777777778e-3
+    series[far] = tail * p[far] + 0.0833333333333333333333
+    table[13:] = (x - 0.5) * logs - x + _LS2PI + series / x
+    return table
+
+
 def _log_factorials(total: int) -> np.ndarray:
-    """``gammaln(arange(total + 2))``: log(c!) at index c + 1, c = 0..total.
+    """``gammaln(arange(total + 2))``, bit for bit: log(c!) at index c + 1,
+    c = 0..total, as a read-only slice of the longest table built so far.
 
-    The one place the exact evaluators import ``gammaln``, so that
-    ``scipy.special`` loads on the first exact evaluation and not before.
-    """
-    from scipy.special import gammaln
+    A fresh table costs about 0.1 us an entry in ``math.log`` calls (see
+    ``_build_log_factorials``), ten times ``gammaln``; reuse keeps that out
+    of repeated evaluations. A caller slices the table it read or built, so
+    it never gets one too short, even while another thread replaces the
+    stored one."""
+    global _LG_TABLE
+    table = _LG_TABLE
+    if table.size < total + 2:
+        table = _build_log_factorials(total + 2)
+        table.flags.writeable = False
+        if table.size > _LG_TABLE.size:
+            _LG_TABLE = table
+    return table[: total + 2]
 
-    return gammaln(np.arange(total + 2))
+
+def _log_rates(p: float) -> tuple[float, float]:
+    """``(xlogy(1, p), xlog1py(1, -p))`` for p in [0, 1], bit for bit: libm's
+    log(p), -inf at p = 0, and Cephes ``log1p(-p)``, -inf at p = 1. That is
+    libm's log(1 - p) where 1 - p < sqrt(1/2), and a rational approximation
+    in p above (Cephes' upper cut, sqrt(2), lies past 1 - p <= 1)."""
+    log_hit = math.log(p) if p > 0 else -math.inf
+    x = -p
+    z = 1.0 + x
+    if z < _SQRT1_2:
+        return log_hit, math.log(z) if z > 0 else -math.inf
+    num = _LOG1P_P[0]
+    for coef in _LOG1P_P[1:]:
+        num = num * x + coef
+    den = x + _LOG1P_Q[0]
+    for coef in _LOG1P_Q[1:]:
+        den = den * x + coef
+    z = x * x
+    return log_hit, x + (-0.5 * z + x * (z * num / den))
 
 
 def _binom_rows(lg: np.ndarray, p: float) -> Callable[[int], np.ndarray]:
@@ -199,21 +286,23 @@ def _binom_rows(lg: np.ndarray, p: float) -> Callable[[int], np.ndarray]:
     ``lg`` is ``_log_factorials(top)``. The terms c * log(p) and
     c * log1p(-p) are tabulated once for c = 0..top, each from a single
     ``xlogy(1, p)`` / ``xlog1py(1, -p)``, with the c = 0 term 0 as xlogy and
-    xlog1py give it. A row is then scipy's formula over slices of the
-    tables, term for term and in its order. Do not swap in a more accurate
-    log-pmf, nor ``math.lgamma`` or ``np.log1p`` for scipy's functions: they
-    round differently. The lgamma rounding of this formula is systematic
-    (about 1e-10 relative at N = 2000 against a 50-digit evaluation), and
+    xlog1py give it. Those two come from ``_log_rates`` (libm's log and
+    Moshier's Cephes ``log1p``, as scipy's ``xsf`` computes them) and ``lg``
+    from Cephes ``lgam``: in-repo copies, so that exact evaluation needs no
+    scipy. A row is then scipy's formula over slices of the tables, term
+    for term and in its order. Do not swap in a more accurate log-pmf, nor
+    ``math.lgamma``, ``np.log1p`` or ``np.log`` for these copies: they round
+    differently. The lgamma rounding of this formula is systematic (about
+    1e-10 relative at N = 2000 against a 50-digit evaluation), and
     alpha = -expm1(log accept) inherits it, so a different formula moves
     alpha by more than the 1e-12 that the committed reference values are
     checked to. For the same reason alpha stays the complement of the accept
     mass rather than a sum over the reject region.
     """
-    from scipy.special import xlog1py, xlogy
-
+    log_hit, log_miss = _log_rates(float(p))
     c = np.arange(1, lg.size - 1, dtype=np.float64)
-    hit = np.concatenate(([0.0], c * xlogy(1, p)))
-    miss = np.concatenate(([0.0], c * xlog1py(1, -p)))
+    hit = np.concatenate(([0.0], c * log_hit))
+    miss = np.concatenate(([0.0], c * log_miss))
 
     def row(n: int) -> np.ndarray:
         return lg[n + 1] - (lg[1 : n + 2] + lg[n + 1 : 0 : -1]) + hit[: n + 1] + miss[n::-1]

@@ -192,11 +192,13 @@ class EmpiricalType(_ArrayValue):
 def _require_same_shape(p: Pmf | JointPmf, q: Pmf | JointPmf, kind: type | None = None):
     """The one check that two pmfs share their alphabets: ``AlphabetMismatch``
     unless both are of one class and shape, and ``InvalidDistribution`` when
-    that class is not ``kind`` (``JointPmf`` for the protocol's entry points)."""
+    that class is not ``kind`` (``JointPmf`` for the protocol's entry points)
+    or, by default, not a pmf class at all."""
     if type(p) is not type(q):
         raise AlphabetMismatch(f"cannot mix {type(p).__name__} and {type(q).__name__}")
-    if kind is not None and not isinstance(p, kind):
-        raise InvalidDistribution(f"needs two {kind.__name__}s, got two {type(p).__name__}s")
+    if not isinstance(p, kind or (Pmf, JointPmf)):
+        want = f"two {kind.__name__}s" if kind else "two Pmfs or two JointPmfs"
+        raise InvalidDistribution(f"needs {want}, got two {type(p).__name__}s")
     if p.probs.shape != q.probs.shape:
         raise AlphabetMismatch(f"shapes differ: {p.probs.shape} vs {q.probs.shape}")
 

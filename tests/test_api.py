@@ -70,3 +70,12 @@ def test_joint_entry_points_name_the_joint_they_need(entry):
     pmf = seqht.Pmf.from_probs([0.5, 0.5])
     with pytest.raises(seqht.InvalidDistribution, match="needs two JointPmfs, got two Pmfs"):
         PAIR_ENTRY_POINTS[entry](pmf, pmf)
+
+
+@pytest.mark.parametrize("entry", ["kl_divergence", "linf_distance", "verify_wald_identity", "verify_acceptance_bound"])
+def test_pmf_entry_points_name_the_types_of_plain_lists(entry):
+    plain, pmf = [0.5, 0.5], seqht.Pmf.from_probs([0.5, 0.5])
+    with pytest.raises(seqht.InvalidDistribution, match="needs two Pmfs or two JointPmfs, got two lists"):
+        PAIR_ENTRY_POINTS[entry](plain, [0.5, 0.5])
+    with pytest.raises(seqht.AlphabetMismatch, match="cannot mix list and Pmf"):
+        PAIR_ENTRY_POINTS[entry](plain, pmf)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
+import ast
 import hashlib
 import json
 import math
@@ -23,6 +24,8 @@ from seqht.cli import (
 
 PRODUCT_P = [[0.81, 0.09], [0.09, 0.01]]
 UNIFORM = [[0.25, 0.25], [0.25, 0.25]]
+P_3X3 = [[0.30, 0.05, 0.05], [0.05, 0.20, 0.05], [0.05, 0.05, 0.20]]
+UNIFORM_3X3 = [[1.0 / 9.0] * 3 for _ in range(3)]
 
 
 def write_config(tmp_path, name="config.json", **body):
@@ -454,24 +457,32 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_only_exact_evaluation_loads_scipy(tmp_path):
+def test_no_run_loads_scipy(tmp_path):
     src = str(Path(seqht.__file__).resolve().parents[1])
     cfg = write_config(
-        tmp_path, **SIM, protocol={"k": 2, "n": 10, "eta": 0.2},
+        tmp_path, **SIM, protocol={"k": 2, "n": 10, "eta": 0.2}, N_grid=[20, 40, 60, 80],
         verify={"wald_horizon": 6, "set_bound_horizon": 4, "cases": 3},
+    )
+    early = write_config(
+        tmp_path, "early.json", **SIM, protocol={"k": 2, "n": 16, "eta": 0.1, "policy_kind": "early_decide"}
+    )
+    three = write_config(
+        tmp_path, "three.json", P_XY=P_3X3, Q_XY=UNIFORM_3X3, protocol={"k": 2, "n": 4, "eta": 0.2}
     )
     probe = (
         "import contextlib, io, sys, seqht, seqht.cli\n"
         "def run(*argv):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert seqht.cli.main(list(argv)) == 0, argv\n"
-        f"cfg = {cfg!r}\n"
+        "print('scipy' in sys.modules)\n"
+        f"cfg, early, three = {cfg!r}, {early!r}, {three!r}\n"
         "run('simulate', '--config', cfg, '--method', 'mc', '--trials', '200', '--seed', '3')\n"
         "run('exponent', '--config', cfg)\n"
         "run('verify', '--config', cfg)\n"
+        "for path in (cfg, early, three):\n"
+        "    run('simulate', '--config', path, '--method', 'exact')\n"
+        "run('fit', '--config', cfg)\n"
         "print('scipy' in sys.modules)\n"
-        "run('simulate', '--config', cfg, '--method', 'exact')\n"
-        "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -481,7 +492,19 @@ def test_only_exact_evaluation_loads_scipy(tmp_path):
         check=True,
         timeout=60,
     )
-    assert out.stdout.split() == ["False", "True", "False"]
+    assert out.stdout.split() == ["False", "False"]
+
+
+def test_no_library_module_imports_scipy():
+    for path in sorted(Path(seqht.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n == "scipy" or n.startswith("scipy.") for n in names), f"{path.name}:{node.lineno}"
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +611,6 @@ def test_float_formatter_round_trips():
 # ---------------------------------------------------------------------------
 # output bytes
 
-P_3X3 = [[0.30, 0.05, 0.05], [0.05, 0.20, 0.05], [0.05, 0.05, 0.20]]
-UNIFORM_3X3 = [[1.0 / 9.0] * 3 for _ in range(3)]
 CORRELATED = [[0.5, 0.2], [0.1, 0.2]]
 MC = {
     **SIM, "protocol": {"k": 1, "n": 10, "eta": 0.2, "policy_kind": "early_decide"},

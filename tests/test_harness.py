@@ -3,12 +3,13 @@
 import itertools
 import math
 import re
+import threading
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, xlog1py, xlogy
 from scipy.stats import binom
 
 from _bruteforce import enumerate_errors
@@ -50,13 +51,17 @@ from seqht import (
     verify_wald_identity,
     wilson_halfwidth,
 )
+from seqht import harness
 from seqht.harness import (
     _MC_CHUNK,
     _binary_log_accept,
     _binom_rows,
+    _build_log_factorials,
     _exact_binary,
     _exact_general,
     _exact_report,
+    _log_factorials,
+    _log_rates,
     _log_window_masses,
     _logsumexp,
 )
@@ -313,6 +318,55 @@ def test_binomial_log_pmf_is_scipy_formula_bit_for_bit():
         rows = _binom_rows(lg, p)
         for n in range(0, 2001, 37):
             assert np.array_equal(rows(n), binom.logpmf(np.arange(n + 1), n, p))
+
+
+def _bits(a) -> list[int]:
+    return np.asarray(a, dtype=np.float64).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("total", [0, 1, 11, 12, 13, 998, 999, 1000, 2000, 200_000])
+def test_log_factorials_are_gammaln_bit_for_bit(total):
+    expected = _bits(gammaln(np.arange(total + 2)))
+    assert _bits(_build_log_factorials(total + 2)) == expected
+    assert _bits(_log_factorials(total)) == expected
+
+
+def test_log_rates_are_xlogy_and_xlog1py_bit_for_bit():
+    branch = 1.0 - math.sqrt(0.5)  # 1 - p = sqrt(1/2): where Cephes log1p switches formula
+    edges = [0.0, 1e-300, 5e-324, 2.5e-310, 0.5, 1.0 - 1e-12, 1.0]
+    edges += [np.nextafter(branch, 0.0), branch, np.nextafter(branch, 1.0)]
+    ps = np.concatenate((np.random.default_rng(19).random(100_000), edges))
+    got = np.array([_log_rates(p) for p in ps.tolist()])
+    assert _bits(got[:, 0]) == _bits(xlogy(1, ps))
+    assert _bits(got[:, 1]) == _bits(xlog1py(1, -ps))
+
+
+def test_cached_log_factorials_match_fresh_tables(monkeypatch):
+    monkeypatch.setattr(harness, "_LG_TABLE", harness._LG_TABLE[:1])
+    for total in (3000, 50, 0, 2999, 3000, 3001):
+        table = _log_factorials(total)
+        assert not table.flags.writeable
+        assert _bits(table) == _bits(_build_log_factorials(total + 2))
+    assert harness._LG_TABLE.size == 3003
+
+
+def test_log_factorials_give_each_thread_its_length(monkeypatch):
+    totals = (5000, 40)
+    for _ in range(20):
+        monkeypatch.setattr(harness, "_LG_TABLE", harness._LG_TABLE[:1])
+        start, got = threading.Barrier(len(totals)), {}
+
+        def ask(total):
+            start.wait()
+            got[total] = _log_factorials(total)
+
+        workers = [threading.Thread(target=ask, args=(t,)) for t in totals]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        for total in totals:
+            assert _bits(got[total]) == _bits(_build_log_factorials(total + 2))
 
 
 # float.hex() of (alpha, beta, log_alpha, log_beta, e_t_h0, e_t_h1) from
