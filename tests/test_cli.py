@@ -616,6 +616,7 @@ MC = {
     **SIM, "protocol": {"k": 1, "n": 10, "eta": 0.2, "policy_kind": "early_decide"},
     "method": "mc", "trials": 40_000, "seed": 11,
 }
+MC_FIXED = {**SIM, "protocol": {"k": 2, "n": 100, "eta": 0.05}, "method": "mc", "trials": 40_000, "seed": 11}
 
 # The sha256 of each subcommand's stdout on small fixed configs, so that a
 # change to how any number is printed shows here, not downstream.
@@ -639,6 +640,25 @@ GOLDEN = {
     "simulate-mc-2": (
         ["simulate", "--threads", "2"], MC,
         "957ec3d10098ec2a1f48e160dd708cd20b1d365c161e7075b79171d77a4eaa73",
+    ),
+    # Fixed-horizon MC: the benchmark pair at N = 200 on 1 and 2 threads and
+    # at N = 2000, and a 3x3 instance where both hypotheses accept and reject.
+    "simulate-mc-fixed-1": (
+        ["simulate", "--threads", "1"], MC_FIXED,
+        "10c1a93316ff8ba062d841b56bede7ae2c112980781df5a098ece85fd9abb673",
+    ),
+    "simulate-mc-fixed-2": (
+        ["simulate", "--threads", "2"], MC_FIXED,
+        "10c1a93316ff8ba062d841b56bede7ae2c112980781df5a098ece85fd9abb673",
+    ),
+    "simulate-mc-fixed-n2000": (
+        ["simulate"], {**MC_FIXED, "protocol": {"k": 2, "n": 1000, "eta": 0.02}, "trials": 4_000},
+        "c2a65f9e064dfbd4b1d4765113bc4f8cd574a2d2e95804dcd010eae9be768fbe",
+    ),
+    "simulate-mc-fixed-3x3": (
+        ["simulate"],
+        {**MC_FIXED, "P_XY": P_3X3, "Q_XY": UNIFORM_3X3, "protocol": {"k": 2, "n": 60, "eta": 0.1}, "trials": 20_000},
+        "d1c3feaafec7bfa41c61d0bcabc31825eb1f094c94aeb49f68f2137e6cb0fb9a",
     ),
     "fit": (
         ["fit"],

@@ -178,6 +178,20 @@ def test_message_step_must_be_an_integer():
             Message(step=bad, payload=1)
 
 
+@pytest.mark.parametrize("policy", ["fixed_horizon", "early_decide"])
+def test_decide_takes_only_a_positive_integer_round(policy):
+    # The messages and prefix are those of round 1, so only the round is wrong.
+    cfg = one_bit_config(n=3, policy_kind=policy)
+    msgs = [Message(step=1, payload=1)]
+    for bad in (0, -1, 1.0, True, "1"):
+        with pytest.raises(InvalidConfig, match="round must be a positive integer"):
+            decide(cfg, msgs, [0, 0, 0, 1], bad, P_JOINT)
+        with pytest.raises(InvalidConfig, match="round must be a positive integer"):
+            decide(cfg, [], [], bad, P_JOINT)
+    for t in (1, np.int64(1), np.uint8(1)):
+        assert decide(cfg, msgs, [0, 0, 0, 1], t, P_JOINT) is CONTINUE
+
+
 def test_decide_early_policy_rejects_on_widened_margin():
     cfg = one_bit_config(n=4, eta=0.2, policy_kind="early_decide")
     msgs = [Message(step=1, payload=1)]
@@ -644,41 +658,95 @@ P_2X4 = JointPmf.from_probs([[0.125, 0.125, 0.25, 0.0], [0.25, 0.25, 0.0, 0.0]])
 Q_2X4 = JointPmf.from_probs(np.full((2, 4), 1 / 8))
 
 
+# An alternative far from P_3X3 on y: its y counts leave the null's windows
+# long before the horizon.
+Q_FAR_3X3 = JointPmf.from_probs([[0.05, 0.05, 0.3], [0.05, 0.05, 0.2], [0.05, 0.05, 0.2]])
+
+
 def _kernel_cases():
+    # ``settles`` says which fixed-horizon trials must be dropped as settled
+    # rejects before the horizon: "H1" some under the alternative, "all"
+    # every trial under both hypotheses.
     for hypothesis in (Hypothesis.H0, Hypothesis.H1):
         for policy in ("fixed_horizon", "early_decide"):
             case = f"{hypothesis.value}-{policy}"
             # A round of 300 draws overflows a uint8 partial sum, and 3-round
             # tiles do not divide the 4-round horizon.
-            yield pytest.param(policy, hypothesis, P_JOINT, Q_UNIFORM, 300, 4, 0.06, None, 64, id=f"{case}-k300")
+            yield pytest.param(policy, hypothesis, P_JOINT, Q_UNIFORM, 300, 4, 0.06, None, 64, None, "H1", id=f"{case}-k300")
             # Tiles of 3 rounds, not dividing 40.
-            yield pytest.param(policy, hypothesis, P_JOINT, Q_UNIFORM, 3, 40, 0.05, 3 * 3 * 64, 64, id=f"{case}-small-tiles")
+            yield pytest.param(
+                policy, hypothesis, P_JOINT, Q_UNIFORM, 3, 40, 0.05, 3 * 3 * 64, 64, None, "H1", id=f"{case}-small-tiles"
+            )
             # The y code wraps at each row end: one tile of the whole horizon,
             # then tiles of 3 rounds.
             for name, p_null, alternative in (("3x3", P_3X3, Q_3X3), ("2x4", P_2X4, Q_2X4)):
                 for tile_draws in (None, 3 * 2 * 64):
                     tiles = "one-tile" if tile_draws is None else "3-round-tiles"
                     yield pytest.param(
-                        policy, hypothesis, p_null, alternative, 2, 30, 0.2, tile_draws, 64, id=f"{case}-{name}-{tiles}"
+                        policy, hypothesis, p_null, alternative, 2, 30, 0.2, tile_draws, 64, None, None,
+                        id=f"{case}-{name}-{tiles}",
                     )
             # The benchmark's chunk shape: 64-round tiles at 512 trials, and
             # the 2-round tiles of a 16,384-trial chunk.
             for tile_draws in (None, 2 * 2 * 512):
                 tiles = "64-round-tiles" if tile_draws is None else "2-round-tiles"
                 yield pytest.param(
-                    policy, hypothesis, P_BENCH, Q_UNIFORM, 2, 100, default_eta(100, 2), tile_draws, 512,
-                    id=f"{case}-bench-{tiles}",
+                    policy, hypothesis, P_BENCH, Q_UNIFORM, 2, 100, default_eta(100, 2), tile_draws, 512, None,
+                    None if tile_draws is None else "H1", id=f"{case}-bench-{tiles}",
                 )
+    # Fixed-horizon cases where most of the alternative's trials settle, or
+    # every trial does.
+    for hypothesis in (Hypothesis.H0, Hypothesis.H1):
+        case = f"{hypothesis.value}-fixed_horizon"
+        # Checked after every 1-round tile: 3x3, and 2x4, whose zero cells
+        # leave rows of ``above`` at 0.
+        for name, p_null, alternative in (("3x3", P_3X3, Q_FAR_3X3), ("2x4", P_2X4, Q_2X4)):
+            yield pytest.param(
+                "fixed_horizon", hypothesis, p_null, alternative, 2, 30, 0.1, 2 * 64, 64, 2, "H1",
+                id=f"{case}-{name}-settle-every-tile",
+            )
+        # The benchmark's eta and the 2-round tiles of its chunks, N = 200
+        # and 2000.
+        for n, eta, trials in ((100, 0.05, 512), (1000, 0.02, 128)):
+            yield pytest.param(
+                "fixed_horizon", hypothesis, P_BENCH, Q_UNIFORM, 2, n, eta, 2 * 2 * trials, trials, None, "H1",
+                id=f"{case}-bench-n{2 * n}-eta{eta}-2-round-tiles",
+            )
+        # 302 samples at eta = 0.001: no count lies in any window, so
+        # every trial settles at the first check.
+        yield pytest.param(
+            "fixed_horizon", hypothesis, P_JOINT, Q_UNIFORM, 2, 151, 0.001, 2 * 2 * 64, 64, None, "all",
+            id=f"{case}-empty-windows",
+        )
+
+
+def _record_live(monkeypatch) -> list:
+    """Patch ``_stream_counts`` to record the trials each call still counts
+    at the horizon."""
+    lives = []
+    stream = seqht.protocol._stream_counts
+
+    def record(*args):
+        live, above = stream(*args)
+        lives.append(live)
+        return live, above
+
+    monkeypatch.setattr(seqht.protocol, "_stream_counts", record)
+    return lives
 
 
 @pytest.mark.parametrize(
-    "policy, hypothesis, p_null, alternative, k, n, eta, tile_draws, trials", list(_kernel_cases())
+    "policy, hypothesis, p_null, alternative, k, n, eta, tile_draws, trials, settle_draws, settles",
+    list(_kernel_cases()),
 )
 def test_simulate_batch_tiles_match_protocol_runs(
-    monkeypatch, policy, hypothesis, p_null, alternative, k, n, eta, tile_draws, trials
+    monkeypatch, policy, hypothesis, p_null, alternative, k, n, eta, tile_draws, trials, settle_draws, settles
 ):
     if tile_draws is not None:
         monkeypatch.setattr(seqht.protocol, "_TILE_DRAWS", tile_draws)
+    if settle_draws is not None:
+        monkeypatch.setattr(seqht.protocol, "_SETTLE_DRAWS", settle_draws)
+    lives = _record_live(monkeypatch)
     cfg = ProtocolConfig(k=k, n=n, eta=eta, policy_kind=policy)
     joint = p_null if hypothesis is Hypothesis.H0 else alternative
     seeds = derive_seed(77, np.arange(trials, dtype=np.uint64))
@@ -691,8 +759,36 @@ def test_simulate_batch_tiles_match_protocol_runs(
         outcomes.add((trace.stopping_time < n, trace.decision))
     if policy == "early_decide" and hypothesis is Hypothesis.H1:
         assert (True, REJECT) in outcomes  # some trials stop early
-    if hypothesis is Hypothesis.H0:
+    if hypothesis is Hypothesis.H0 and settles != "all":
         assert (False, ACCEPT) in outcomes
+    if policy == "fixed_horizon":
+        dropped = trials - lives[-1].size
+        if settles == "all":
+            assert dropped == trials
+        elif settles == "H1" and hypothesis is Hypothesis.H1:
+            assert dropped > 0
+
+
+@pytest.mark.parametrize("n, eta, h1_share", [(100, 0.05, 0.50), (1000, 0.02, 0.35)])
+def test_fixed_horizon_trials_stop_drawing_once_their_reject_is_settled(monkeypatch, n, eta, h1_share):
+    # A 16,384-trial chunk of the benchmark pair: under the alternative the y
+    # counts leave the null's windows early and most trials stop drawing;
+    # under the null nearly every trial draws the whole horizon.
+    hashed = []
+    hash_words = seqht.protocol.random_bits_into
+
+    def counting(seeds, start, out, scratch):
+        hashed.append(out.size)
+        return hash_words(seeds, start, out, scratch)
+
+    monkeypatch.setattr(seqht.protocol, "random_bits_into", counting)
+    cfg = ProtocolConfig(k=2, n=n, eta=eta)
+    seeds = derive_seed(5, np.arange(16_384, dtype=np.uint64))
+    budget = seeds.size * cfg.total_samples
+    for joint, low, high in ((P_BENCH, 0.95, 1.0), (Q_UNIFORM, 0.0, h1_share)):
+        hashed.clear()
+        simulate_batch(cfg, P_BENCH, joint, seeds)
+        assert low * budget <= sum(hashed) <= high * budget
 
 
 # A leading zero cell gives T = 0; a cdf that reaches 1 at cell 2 of 6 gives
@@ -826,6 +922,42 @@ def test_source_model_rejects_a_non_integer_seed_or_a_non_joint():
     for bad in ([[0.25, 0.25], [0.25, 0.25]], P_JOINT.probs, Pmf.from_probs([0.5, 0.5])):
         with pytest.raises(InvalidConfig, match="JointPmf"):
             SourceModel(Hypothesis.H0, bad, 1)
+
+
+def test_simulate_batch_takes_integer_seeds_masked_to_64_bits():
+    cfg = ProtocolConfig(k=2, n=5, eta=0.2)
+    seeds = np.array([1, 2, 2**64 - 1], dtype=np.uint64)
+    assert seqht.protocol._seed_array(seeds) is seeds  # no copy, no pass over the seeds
+    expected = simulate_batch(cfg, P_JOINT, Q_UNIFORM, seeds)
+    trace = run_protocol(cfg, P_JOINT, SourceModel(Hypothesis.H1, Q_UNIFORM, -1))
+    assert (expected[0][2], expected[1][2]) == (trace.decision, trace.stopping_time)
+    for same in (
+        [1, 2, -1],
+        (1, 2, 2**64 - 1),
+        [1, 2, 2**65 - 1],
+        [np.int64(1), np.uint8(2), np.int64(-1)],
+        np.array([1, 2, -1], dtype=np.int64),
+        np.array([1, 2, 2**64 - 1], dtype=np.uint64)[::1],
+    ):
+        got = simulate_batch(cfg, P_JOINT, Q_UNIFORM, same)
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
+    for bad in (
+        [1.7, 2.2],
+        [True, False],
+        [np.bool_(True)],
+        [[1, 2], [3, 4]],
+        [1, None],
+        "12",
+        5,
+        np.uint64(5),
+        np.array([1.0, 2.0]),
+        np.array([True, False]),
+        np.array([[1, 2], [3, 4]], dtype=np.uint64),
+        np.array(5, dtype=np.uint64),
+    ):
+        with pytest.raises(InvalidConfig, match="seeds"):
+            simulate_batch(cfg, P_JOINT, Q_UNIFORM, bad)
 
 
 def test_source_model_names_the_hypotheses_it_takes():
