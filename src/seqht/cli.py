@@ -8,6 +8,8 @@ Subcommands: ``exponent`` (solve for the optimal exponent), ``simulate``
 over a budget grid), ``verify`` (exact small-horizon identity checks).
 Each takes ``--config`` and ``--out``; ``simulate`` and ``verify`` take
 ``--seed``; ``simulate`` alone takes ``--threads``, ``--method``, ``--trials``.
+Monte Carlo runs on one thread: ``--threads`` is still accepted and checked,
+so existing command lines keep working, but nothing reads it.
 
 Every command is a pure function of the config file and the seed: validation
 happens before any computation, and output files are written byte-identically
@@ -190,7 +192,7 @@ def cmd_simulate(args) -> int:
     if trials < 1 and (method == "mc" or "trials" in raw):
         raise InvalidConfig(f"Monte Carlo needs trials >= 1, got {trials}")
     if method == "mc":
-        report = monte_carlo_errors(config, p, q, trials, seed, threads=args.threads)
+        report = monte_carlo_errors(config, p, q, trials, seed)
     else:
         report = exact_errors(config, p, q)
     floats = (report.eta, report.alpha, report.beta, report.neg_ln_beta_per_sample, report.e_t_h0, report.e_t_h1)
@@ -331,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="evaluate error probabilities")
     common(sp)
     sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sp.add_argument("--threads", type=_positive_int, default=1, help="worker cap (output-invariant)")
+    sp.add_argument("--threads", type=_positive_int, default=1, help="accepted and checked, no effect (MC runs on one thread)")
     sp.add_argument("--method", choices=("exact", "mc"), default=None)
     sp.add_argument("--trials", type=_positive_int, default=None)
     sp = sub.add_parser("fit", help="fit the empirical exponent over a budget grid")

@@ -58,8 +58,8 @@ from .rng import derive_seed
 
 DEFAULT_CELL_BUDGET = 20_000_000
 
-# Trials per work unit for Monte Carlo; fixed so that results cannot depend
-# on the worker count (each unit is deterministic, reduction order is fixed).
+# Trials per Monte Carlo chunk: each chunk derives its own seeds, so the
+# size bounds memory and never changes a result.
 _MC_CHUNK = 16_384
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -687,36 +687,29 @@ def monte_carlo_errors(
     q: JointPmf,
     trials: int,
     seed: int,
-    threads: int = 1,
 ) -> ErrorReport:
     """Estimate errors from independent protocol runs under each hypothesis.
 
     Per-trial seeds are derived from per-hypothesis master seeds, so results
     are a pure function of (config, seed, trials): extending the trial count
-    re-uses earlier trials unchanged, and the worker count only partitions
-    work (fixed chunk size, ordered integer reduction), never the outcome.
+    re-uses earlier trials unchanged, and the chunk size only bounds memory
+    (one chunk is live at a time), never the outcome.
     """
     _require_same_shape(p, q, JointPmf)
-    trials, threads = _integer("trials", trials), _integer("threads", threads)
+    trials = _integer("trials", trials)
     seed = _integer("seed", seed, positive=False)
 
     def _run(hyp_index: int, joint: JointPmf) -> tuple[int, int]:
         """Accepts and the stopping-time sum: each chunk derives its own
-        seeds and returns two integers, so memory is one chunk's per thread."""
+        seeds and adds two integers, so memory is one chunk's."""
         master = int(derive_seed(seed, hyp_index))
-        def work(lo):
+        accepts = stops = 0
+        for lo in range(0, trials, _MC_CHUNK):
             seeds = derive_seed(master, np.arange(lo, min(lo + _MC_CHUNK, trials), dtype=np.uint64))
-            decisions, stops = simulate_batch(config, p, joint, seeds)
-            return int((decisions == ACCEPT).sum()), int(stops.sum())
-        starts = range(0, trials, _MC_CHUNK)
-        if threads == 1 or len(starts) == 1:
-            parts = [work(lo) for lo in starts]
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(work, starts))
-        return sum(a for a, _ in parts), sum(s for _, s in parts)
+            decisions, stop = simulate_batch(config, p, joint, seeds)
+            accepts += int((decisions == ACCEPT).sum())
+            stops += int(stop.sum())
+        return accepts, stops
 
     accepts0, stops0 = _run(0, p)
     accepts1, stops1 = _run(1, q)

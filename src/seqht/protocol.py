@@ -601,9 +601,7 @@ def acceptance_region_membership(
 # of 16 draws per trial took 5.5 ns per draw, tiles of 2 or 4 took 2.5 ns,
 # and a 16,384-trial chunk at N = 2000 ran about 10% faster with 4 than 2.
 # Early-decide checks every round of a tile once the tile is counted, so each
-# of its ufunc calls spans a whole tile too. Shorter calls lose on threads: on
-# a 2-vCPU host, an int16 add over 4K-64K elements (1-7 us a call) ran at
-# 0.5-0.7x on two threads against one, and over 256K (24 us) at 1.4x.
+# of its ufunc calls spans a whole tile too.
 _TILE_DRAWS = 65_536
 
 # Draws per trial between the fixed horizon's settled-reject checks, rounded

@@ -3,7 +3,7 @@
 Every random quantity in the simulator is a pure function of (master seed,
 trial index, draw counter), built on the splitmix64 finalizer. This gives
 replayable, order-independent streams: trial j's draws do not depend on how
-many trials run, which worker thread runs them, or batch size. Scalar and
+many trials run, how trials are chunked, or batch size. Scalar and
 vectorized paths use the same mapping bit for bit, so a horizon may also be
 drawn block by block.
 

@@ -218,16 +218,13 @@ def test_criterion_7_monte_carlo_consistency():
         )
         if abs(mc.beta - exact.beta) <= 3.0 * mc.ci_halfwidth:
             hits += 1
-    lone = monte_carlo_errors(config, PRODUCT_P, UNIFORM_Q, trials=100_000, seed=0, threads=1)
-    pooled = monte_carlo_errors(config, PRODUCT_P, UNIFORM_Q, trials=100_000, seed=0, threads=4)
-    threads_ok = lone == pooled
-    ok = hits >= math.ceil(0.95 * reps) and threads_ok
+    ok = hits >= math.ceil(0.95 * reps)
     _verdict(
         7,
         "Monte Carlo tracks the exact evaluator",
         ok,
         f"{hits}/{reps} repetitions within 3x Wilson half-width of exact beta "
-        f"{exact.beta:.3e} (need >=19), thread-count invariant: {threads_ok}",
+        f"{exact.beta:.3e} (need >=19)",
     )
 
 

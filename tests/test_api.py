@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,12 @@ def test_public_names_are_pinned():
     assert len(seqht.__all__) == len(set(seqht.__all__))
     assert sorted(seqht.__all__) == sorted(PUBLIC_NAMES)
     assert all(hasattr(seqht, name) for name in PUBLIC_NAMES)
+
+
+def test_monte_carlo_takes_no_worker_count():
+    # Monte Carlo is a pure function of (config, seed, trials) and runs on
+    # one thread; a caller-set worker count would be a knob with no effect.
+    assert list(inspect.signature(seqht.monte_carlo_errors).parameters) == ["config", "p", "q", "trials", "seed"]
 
 
 CONFIG = seqht.ProtocolConfig(k=1, n=2, eta=0.2)

@@ -641,8 +641,9 @@ GOLDEN = {
         ["simulate", "--threads", "2"], MC,
         "957ec3d10098ec2a1f48e160dd708cd20b1d365c161e7075b79171d77a4eaa73",
     ),
-    # Fixed-horizon MC: the benchmark pair at N = 200 on 1 and 2 threads and
-    # at N = 2000, and a 3x3 instance where both hypotheses accept and reject.
+    # Fixed-horizon MC: the benchmark pair at N = 200 with --threads 1 and 2
+    # (which must print the same bytes) and at N = 2000, and a 3x3 instance
+    # where both hypotheses accept and reject.
     "simulate-mc-fixed-1": (
         ["simulate", "--threads", "1"], MC_FIXED,
         "10c1a93316ff8ba062d841b56bede7ae2c112980781df5a098ece85fd9abb673",

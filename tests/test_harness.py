@@ -598,13 +598,10 @@ def test_monte_carlo_validation():
     config = ProtocolConfig(k=2, n=5, eta=0.2)
     with pytest.raises(InvalidConfig):
         monte_carlo_errors(config, UNIFORM, UNIFORM, trials=0, seed=1)
-    with pytest.raises(InvalidConfig):
-        monte_carlo_errors(config, UNIFORM, UNIFORM, trials=10, seed=1, threads=0)
     # A bool is not a count, and a float is an error, never truncated.
     for field, kwargs in (
         ("trials", dict(trials=True, seed=1)),
         ("trials", dict(trials=10.0, seed=1)),
-        ("threads", dict(trials=10, seed=1, threads=2.0)),
         ("seed", dict(trials=10, seed=1.5)),
         ("seed", dict(trials=10, seed=False)),
     ):
@@ -627,18 +624,9 @@ def test_monte_carlo_tracks_exact_within_interval():
     assert mc.e_t_h0 == 30.0 and mc.e_t_h1 == 30.0
 
 
-def test_monte_carlo_thread_count_is_cosmetic():
-    config = ProtocolConfig(
-        k=1, n=40, eta=0.15, policy_kind=PolicyKind.EARLY_DECIDE
-    )
-    lone = monte_carlo_errors(config, CORRELATED, UNIFORM, trials=50_000, seed=9, threads=1)
-    pooled = monte_carlo_errors(config, CORRELATED, UNIFORM, trials=50_000, seed=9, threads=4)
-    assert lone == pooled
-
-
 def test_monte_carlo_counts_the_outcome_of_every_trial():
-    """The report is the tally of one batch over all trials' seeds, at any
-    thread count, though each chunk derives its own seeds."""
+    """The report is the tally of one batch over all trials' seeds, though
+    each chunk derives its own seeds."""
     config = ProtocolConfig(k=1, n=6, eta=0.2, policy_kind=PolicyKind.EARLY_DECIDE)
     trials = 2 * _MC_CHUNK + 5
     outcomes = []
@@ -646,11 +634,10 @@ def test_monte_carlo_counts_the_outcome_of_every_trial():
         seeds = derive_seed(int(derive_seed(21, index)), np.arange(trials, dtype=np.uint64))
         outcomes.append(simulate_batch(config, CORRELATED, joint, seeds))
     (dec0, stop0), (dec1, stop1) = outcomes
-    for threads in (1, 2):
-        report = monte_carlo_errors(config, CORRELATED, UNIFORM, trials, seed=21, threads=threads)
-        assert report.alpha == int((dec0 == REJECT).sum()) / trials
-        assert report.beta == int((dec1 == ACCEPT).sum()) / trials
-        assert (report.e_t_h0, report.e_t_h1) == (int(stop0.sum()) / trials, int(stop1.sum()) / trials)
+    report = monte_carlo_errors(config, CORRELATED, UNIFORM, trials, seed=21)
+    assert report.alpha == int((dec0 == REJECT).sum()) / trials
+    assert report.beta == int((dec1 == ACCEPT).sum()) / trials
+    assert (report.e_t_h0, report.e_t_h1) == (int(stop0.sum()) / trials, int(stop1.sum()) / trials)
 
 
 def test_monte_carlo_memory_stays_flat_as_trials_grow():
