@@ -52,6 +52,7 @@ from .protocol import (
     PolicyKind,
     ProtocolConfig,
     _rule,
+    _sum_windows,
     simulate_batch,
 )
 from .rng import derive_seed
@@ -441,19 +442,19 @@ def _exact_report(
     )
 
 
-def _pinned(log_accepts: list[float], reject_empty: bool) -> list[float]:
-    """The log accept masses, or exactly 0 for each when nothing is ever
-    rejected (e.g. eta >= 1): the log-domain sums would smear that endpoint
+def _pinned(log_accepts: list[float], rejects_nothing: bool) -> list[float]:
+    """The log accept masses, or exactly 0 for each when the rule rejects
+    nothing (e.g. eta >= 1): the log-domain sums would smear that endpoint
     by their rounding."""
-    return [0.0] * len(log_accepts) if reject_empty else log_accepts
+    return [0.0] * len(log_accepts) if rejects_nothing else log_accepts
 
 
-def _binary_mask(windows: Sequence[Sequence[int]], total: int) -> np.ndarray:
-    """Whether each binary count vector (c, total - c), c = 0..total, lies
-    in the two symbols' windows: an interval of c."""
-    (lo0, hi0), (lo1, hi1) = windows
-    c = np.arange(total + 1)
-    return (max(lo0, total - hi1) <= c) & (c <= min(hi0, total - lo1))
+def _binary_mask(lo, hi, played, size: int) -> np.ndarray:
+    """Whether a count b = 0..size-1 of symbol 0 in ``played`` samples leaves
+    the count of symbol 1 in [lo, hi], a window ``_sum_windows`` folds; the
+    arguments broadcast against b on a last axis."""
+    b = np.arange(size)
+    return (played - hi <= b) & (b <= played - lo)
 
 
 def _exact_binary(
@@ -478,17 +479,20 @@ def _exact_binary(
     n, k = config.n, config.k
     total = config.total_samples
     rule = _rule(config, p)
-    x_mask, y_mask = (_binary_mask(w, total) for w in rule.horizon)
-    # rejects[t - 1]: the counts of y = 0 that round t < n rejects.
-    rejects = []
+    x_mask, y_mask = (_binary_mask(*_sum_windows(*np.array(w).T, total), total, total + 1) for w in rule.horizon)
+    # rejects[t - 1, b]: whether round t < n rejects b counts of y = 0
+    # (columns past t*k unused).
+    rejects = np.zeros((0, total + 1), dtype=bool)
     if config.policy_kind is PolicyKind.EARLY_DECIDE:
-        rejects = [~_binary_mask(w, t * k) for t, w in enumerate(rule.y_early.tolist(), 1)]
+        played = k * np.arange(1, n)
+        lo, hi = _sum_windows(*rule.y_early.T, played)
+        rejects = ~_binary_mask(lo.T, hi.T, played[:, None], total + 1)
     lg = _log_factorials(total)
     log_accepts, e_ts = [], []
     for joint in (m.probs for m in measures):
         ry0 = joint[0, 0] + joint[1, 0]
         e_t = float(n)
-        if not rejects:
+        if not len(rejects):
             law = _binom_rows(lg, ry0)(total)
         else:
             step = _binom_rows(lg, ry0)(k).tolist()
@@ -499,8 +503,7 @@ def _exact_binary(
                     part = grown[j : j + law.size]
                     np.logaddexp(part, law + log_w, out=part)
                 law = grown
-                if t < n and rejects[t - 1].any():
-                    killed = rejects[t - 1]
+                if t < n and (killed := rejects[t - 1, : law.size]).any():
                     e_t -= (n - t) * math.exp(np.logaddexp.reduce(law[killed]))
                     law[killed] = -np.inf
                     if law.max() == -np.inf:  # nothing survives
@@ -508,8 +511,7 @@ def _exact_binary(
                         break
         log_accepts.append(_binary_log_accept(joint.T, law, y_mask, x_mask, total))
         e_ts.append(e_t)
-    reject_empty = bool(x_mask.all() and y_mask.all()) and not any(r.any() for r in rejects)
-    return _pinned(log_accepts, reject_empty), e_ts
+    return _pinned(log_accepts, rule.rejects_nothing), e_ts
 
 
 def _log_step(table: np.ndarray, log_row: list[np.ndarray], forward: bool) -> np.ndarray:
@@ -571,13 +573,12 @@ def _exact_general(
     """
     total = config.total_samples
     nx, ny = p.probs.shape
-    x_windows, y_windows = _rule(config, p).horizon  # [lo, hi] of each symbol
-    # The only count of a one-symbol alphabet is N, and it is typical.
-    reject_empty = all(len(w) == 1 or w == [[0, total]] * len(w) for w in (x_windows, y_windows))
+    rule = _rule(config, p)
+    x_windows, y_windows = rule.horizon  # [lo, hi] of each symbol
     layers = len(measures)
     e_ts = [float(config.n)] * layers
     if any(lo > hi for lo, hi in x_windows + y_windows):
-        return _pinned([-np.inf] * layers, reject_empty), e_ts
+        return _pinned([-np.inf] * layers, rule.rejects_nothing), e_ts
     lows, tops = zip(*x_windows)
     shape = tuple(hi + 1 for _, hi in y_windows[:-1])
 
@@ -637,7 +638,7 @@ def _exact_general(
     start[(slice(None),) + (0,) * len(shape)] = 0.0
     descend(0, start, 0, lg[total + 1])
     if not leaves:
-        return _pinned([-np.inf] * layers, reject_empty), e_ts
+        return _pinned([-np.inf] * layers, rule.rejects_nothing), e_ts
     # A running sum over the leaves, in their order, so that each measure's
     # total is the same double however many measures ride along.
     leaf = np.array(leaves)
@@ -645,7 +646,7 @@ def _exact_general(
     shift = np.where(top > -np.inf, top, 0.0)
     with np.errstate(divide="ignore"):
         log_accepts = shift + np.log(np.add.accumulate(np.exp(leaf - shift), axis=0)[-1])
-    return _pinned(log_accepts.tolist(), reject_empty), e_ts
+    return _pinned(log_accepts.tolist(), rule.rejects_nothing), e_ts
 
 
 def _exact_log_accepts(

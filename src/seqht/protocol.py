@@ -238,6 +238,19 @@ def _blocked_length(config: ProtocolConfig, length: int) -> int:
     return length // config.k
 
 
+def _sum_windows(lo, hi, totals) -> tuple[np.ndarray, np.ndarray]:
+    """Windows [lo, hi] of each symbol (symbols first) as windows, rows
+    first, on the counts of symbols 1..m-1 and on their sum S, which a count
+    vector of ``totals`` samples meets exactly when it meets the symbols'.
+    Symbol 0 has totals - S, so its window becomes [totals - hi_0,
+    totals - lo_0] on S; with two symbols, S is symbol 1's count and the two
+    rows merge into one."""
+    lo, hi = np.concatenate((lo[1:], [totals - hi[0]])), np.concatenate((hi[1:], [totals - lo[0]]))
+    if len(lo) == 2:
+        lo, hi = lo.max(axis=0, keepdims=True), hi.min(axis=0, keepdims=True)
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class _DecisionRule:
     """The decision center's rule for one (config, null marginals), compiled
@@ -253,11 +266,13 @@ class _DecisionRule:
     bit. The float test itself is a test oracle (``tests/_oracles.py``): no
     verdict computes it.
 
-    The table has three parts, each built on first use: ``horizon`` and
-    ``x_rounds`` (lists of Python ints, for the scalar compares and the
-    one-bit messages), and ``y_early`` (an int64 array of n - 1 rows, 16
-    bytes per symbol and round), which the scalar readers turn into lists row
-    by row and the batch simulator reads recast as ``y_checks``. ``_rule``
+    The table has three parts, each built on first use: ``horizon``, the x
+    and y windows of round n; ``x_rounds``, the x windows of every round
+    (the one-bit messages); and ``y_early``, the y windows of rounds 1..n-1
+    at their reject margins (an int64 array, 16 bytes per symbol and round,
+    which the scalar readers turn into lists row by row). The batch
+    simulator and the exact evaluators read them folded by ``_sum_windows``
+    (``horizon_checks``, ``y_checks``, ``rejects_nothing``). ``_rule``
     keeps one rule per config on the null pmf. ``p_y`` is None for a
     sensor-side rule that only encodes.
     """
@@ -317,21 +332,14 @@ class _DecisionRule:
 
     @cached_property
     def y_checks(self) -> tuple[np.ndarray, np.ndarray]:
-        """``y_early`` as (base, width), for counts held in the narrowest
-        signed type that fits -(N + 1): row c, round t - 1 passes when
-        0 <= count - base <= width, which one unsigned compare tests.
-
-        The rows check the counts of y symbols 1..ny-1 and their sum S, since
-        symbol 0 has t*k - S; with two symbols, S is symbol 1's count and the
-        two rows fold into one. An empty window gets base -1 and width 0,
+        """``y_early`` folded by ``_sum_windows`` and held as (base, width),
+        for counts held in the narrowest signed type that fits -(N + 1): row
+        c, round t - 1 passes when 0 <= count - base <= width, which one
+        unsigned compare tests. An empty window gets base -1 and width 0,
         which no count passes.
         """
         k, n = self.config.k, self.config.n
-        lo, hi = self.y_early.T  # lo[s, t - 1]
-        totals = k * np.arange(1, n)
-        lo, hi = np.vstack((lo[1:], totals - hi[0])), np.vstack((hi[1:], totals - lo[0]))
-        if len(lo) == 2:
-            lo, hi = lo.max(axis=0, keepdims=True), hi.min(axis=0, keepdims=True)
+        lo, hi = _sum_windows(*self.y_early.T, k * np.arange(1, n))
         empty = hi < lo
         wide = np.min_scalar_type(-(n * k + 1))
         base = np.where(empty, -1, lo).astype(wide)
@@ -340,20 +348,18 @@ class _DecisionRule:
 
     @cached_property
     def horizon_checks(self) -> list[tuple[list[int], list[int], int, int]]:
-        """The horizon windows as checks on the counts the fixed-horizon
-        batch simulator keeps, ``above`` (see ``_cell_counts``): for each
-        (adds, subs, low, high), after d of the N draws, the count
+        """The horizon windows folded by ``_sum_windows``, as checks on the
+        counts the batch simulator keeps, ``above`` (see ``_stream_counts``):
+        for each (adds, subs, low, high), after d of the N draws, the count
         sum(above[adds]) - sum(above[subs]) of a trial that can still end
         inside every window lies in [low + d, high].
 
-        Counts only grow, so symbol s's count c can end in [lo, hi] only if
-        lo - (N - d) <= c <= hi. The checks read the counts of x symbols
-        1..nx-1, their sum S, and the same for y, since symbol 0 has d - S,
-        which can end in its window only if d - hi <= S <= N - lo; with two
-        symbols, S is symbol 1's count and the two checks fold into one, as
-        in ``y_checks``. A one-symbol axis gets none: its count ends at N,
-        inside any window that is not empty. An empty window becomes
-        [N + 1, -1], which no count can reach.
+        Counts only grow, so a count that must end in [lo, hi] can do so only
+        if lo - (N - d) <= c <= hi. At d = N that is the window itself, so
+        the checks at the horizon are the verdict. A one-symbol axis gets
+        none: its count ends at N, inside its window as p = 1 and eta > 0. A
+        window no count can end in becomes [N + 1, -1], which no count can
+        reach.
         """
         total = self.config.total_samples
         ny = self.p_y.probs.size
@@ -362,24 +368,32 @@ class _DecisionRule:
         for windows, symbol in zip(self.horizon, (cell // ny, cell % ny)):
             if len(windows) == 1:
                 continue
-            lo, hi = zip(*((total + 1, -1) if a > b else (a, b) for a, b in windows))
-            # (cells, low, high) for symbols 1..m-1, then for their sum.
-            rows = [(symbol == s, lo[s] - total, hi[s]) for s in range(1, len(lo))]
-            rows.append((symbol > 0, -hi[0], total - lo[0]))
-            if len(rows) == 2:
-                (cells, low, high), (_, low0, high0) = rows
-                rows = [(cells, max(low, low0), min(high, high0))]
-            for cells, low, high in rows:
+            lo, hi = _sum_windows(*np.array(windows).T, total)
+            # The cells of symbols 1..m-1 and of their sum (one row with two symbols).
+            sets = [symbol == s for s in range(1, len(windows))] + [symbol > 0]
+            for cells, low, high in zip(sets[: len(lo)], lo.tolist(), hi.tolist()):
+                if low > high:
+                    low, high = total + 1, -1
                 # The draws of a cell set are the sum over its cells c of
                 # above[c - 1] - above[c]; no set holds cell 0, so no term
                 # is constant.
                 step = np.diff(cells.astype(np.int8))
-                checks.append((np.flatnonzero(step > 0).tolist(), np.flatnonzero(step < 0).tolist(), low, high))
+                checks.append((np.flatnonzero(step > 0).tolist(), np.flatnonzero(step < 0).tolist(), low - total, high))
         return checks
 
+    @cached_property
+    def rejects_nothing(self) -> bool:
+        """Whether every count vector passes: every horizon check spans
+        [-N, N]. Early rounds then reject nothing either: a window holds every
+        count of any total exactly when frequencies 0 and 1 pass, and their
+        margins are no narrower than eta."""
+        total = self.config.total_samples
+        return all((low, high) == (-total, total) for *_, low, high in self.horizon_checks)
+
     def settled(self, above: np.ndarray, drawn: int) -> np.ndarray:
-        """Which fixed-horizon trials must reject, given their ``above``
-        after ``drawn`` of the N draws (see ``horizon_checks``)."""
+        """Which trials must reject at the horizon, given their ``above``
+        after ``drawn`` of the N draws (see ``horizon_checks``): at
+        drawn = N, the trials the horizon verdict rejects."""
         out = np.zeros(above.shape[1], dtype=bool)
         count = np.empty(above.shape[1], dtype=np.int64)
         for adds, subs, low, high in self.horizon_checks:
@@ -674,28 +688,14 @@ class _DrawTiles:
         return codes
 
 
-def _cell_counts(above: np.ndarray, total, shape: tuple[int, int]) -> np.ndarray:
-    """Joint cell counts, cells first in the joint's shape, from ``above[j]``:
-    the number of draws with word >= T_j << 11 (axis 0 runs over the cells-1
-    thresholds).
-
-    ``total`` is the number of draws and broadcasts against ``above[0]``.
-    Draws of cell i number above[i-1] - above[i], with above[-1] = total and
-    above[cells-1] = 0.
-    """
-    cells = np.empty((len(above) + 1,) + above.shape[1:], dtype=np.int64)
-    cells[0] = total
-    cells[1:] = above
-    cells[:-1] -= above
-    return cells.reshape(shape + above.shape[1:])
-
-
 def _stream_counts(
     rule: _DecisionRule, seeds: np.ndarray, thresholds: np.ndarray, tile: int, stops: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hash and count the horizon ``tile`` rounds at a time. Returns the
-    trials still drawing at round n and their ``above`` (see
-    ``_cell_counts``).
+    trials still drawing at round n and their ``above``: ``above[j, i]`` is
+    the number of trial i's draws with word >= T_j << 11, so its draws of
+    joint cell c number above[c - 1, i] - above[c, i], with above[-1] the
+    draws made and above[cells - 1] = 0.
 
     Under early-decide, each tile's y codes give the running y counts of its
     rounds, which are checked against their windows (``rule.y_early``) for
@@ -821,19 +821,19 @@ def simulate_batch(
     turned into a float or searched for: with w its 64-bit word and T_j the
     integer thresholds of the joint's cdf, the scalar protocol draws a
     symbol past cell j exactly when w >= T_j << 11 (see ``seqht.rng``), so
-    counting those words per trial yields the joint type the scalar
-    protocol sees, and from it both marginals. Early-decide reads one more
-    thing off the same compares, each draw's y symbol as an unsigned code;
-    per-round counts of the codes give every trial's running y counts,
-    whose every round before the horizon is checked once its tile is
-    counted. Under the fixed horizon the verdict reads only the final
-    marginal counts, and counts only grow: once a count is past its
-    window's top, or too low to reach its bottom with the draws left, the
-    trial must reject. The counts are checked for that every
-    ``_SETTLE_DRAWS`` draws. Rejected trials of either policy are compacted
-    out and draw no more; counter addressing keeps every other trial's
-    draws unchanged. Trials whose accept is certain keep drawing, so every
-    accepted trial has its full counts.
+    counting those words per trial yields the counts the scalar protocol
+    sees. Early-decide reads one more thing off the same compares, each
+    draw's y symbol as an unsigned code; per-round counts of the codes give
+    every trial's running y counts, whose every round before the horizon is
+    checked once its tile is counted. The horizon verdict reads only the final marginal counts, and
+    counts only grow: once a count is past its window's top, or too low to
+    reach its bottom with the draws left, the trial must reject
+    (``rule.settled``). Under the fixed horizon the counts are checked for
+    that every ``_SETTLE_DRAWS`` draws; with all N draws made, the same
+    check is the horizon verdict. Rejected trials of either policy are
+    compacted out and draw no more; counter addressing keeps every other
+    trial's draws unchanged. Trials whose accept is certain keep drawing,
+    so every accepted trial has its full counts.
 
     On a 16,384-trial chunk of a 2x2 joint (2 MB L2 per core), per draw,
     hashing took 1.8 ns, comparing with the three thresholds 0.8 ns and
@@ -852,7 +852,6 @@ def simulate_batch(
     _require_same_shape(p_null, joint, JointPmf)
     seeds = _seed_array(seeds)
     n, k = config.n, config.k
-    shape = joint.probs.shape
     rule = _rule(config, p_null)
     thresholds = joint._thresholds
     trials = seeds.shape[0]
@@ -861,11 +860,6 @@ def simulate_batch(
     decisions = np.full(trials, REJECT, dtype=np.int64)
     stops = np.full(trials, n, dtype=np.int64)
     live, above = _stream_counts(rule, seeds, thresholds, tile, stops)
-
-    cells = _cell_counts(above, n * k, shape)
-    accept = np.ones(live.size, dtype=bool)
-    for counts, windows in zip((cells.sum(axis=1), cells.sum(axis=0)), rule.horizon):
-        lo, hi = np.array(windows).T[..., None]  # symbols first, as the counts
-        accept &= ((counts >= lo) & (counts <= hi)).all(axis=0)
-    decisions[live[accept]] = ACCEPT
+    # With all N draws made, the settled check is the horizon verdict.
+    decisions[live[~rule.settled(above, n * k)]] = ACCEPT
     return decisions, stops

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -651,6 +652,81 @@ def test_simulate_batch_matches_protocol_runs(policy, hypothesis, p_null, altern
         assert trace.stopping_time == stops[j]
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    probs=_joints,
+    eta=st.sampled_from([0.001, 0.05, 0.2, 1.0, 1.5]),
+    policy=st.sampled_from(["fixed_horizon", "early_decide"]),
+    hypothesis=st.sampled_from([Hypothesis.H0, Hypothesis.H1]),
+    k=st.integers(1, 4),
+    n=st.integers(1, 6),
+    master=st.integers(0, 2**64 - 1),
+)
+def test_simulate_batch_matches_protocol_runs_on_every_shape(probs, eta, policy, hypothesis, k, n, master):
+    # One-symbol axes and zero cells too: the batch verdict at the horizon is
+    # the settled check at d = N, which skips a one-symbol axis.
+    p_null = JointPmf.from_probs(probs)
+    joint = p_null if hypothesis is Hypothesis.H0 else JointPmf.from_probs(np.full(probs.shape, 1 / probs.size))
+    cfg = ProtocolConfig(k=k, n=n, eta=eta, policy_kind=policy)
+    seeds = derive_seed(master, np.arange(32, dtype=np.uint64))
+    decisions, stops = simulate_batch(cfg, p_null, joint, seeds)
+    for j, seed in enumerate(seeds):
+        trace = run_protocol(cfg, p_null, SourceModel(hypothesis, joint, int(seed)))
+        assert (trace.decision, trace.stopping_time) == (decisions[j], stops[j])
+
+
+def _count_vectors(m, total):
+    """Every count vector of m symbols with the given total."""
+    return [c for c in itertools.product(range(total + 1), repeat=m) if sum(c) == total]
+
+
+def test_sum_windows_accept_exactly_the_vectors_every_window_accepts():
+    rng = np.random.default_rng(23)
+    for m in range(1, 5):
+        for total in range(1, 5):
+            # Random tables, with ends past both edges (empty windows), plus
+            # the all-full and all-empty tables; symbols first, tables last.
+            lo = rng.integers(0, total + 2, size=(m, 60))
+            hi = rng.integers(-1, total + 1, size=(m, 60))
+            lo[:, 0], hi[:, 0] = 0, total
+            lo[:, 1], hi[:, 1] = total + 1, -1
+            rows_lo, rows_hi = seqht.protocol._sum_windows(lo, hi, total)
+            assert len(rows_lo) == (1 if m <= 2 else m)
+            for c in _count_vectors(m, total):
+                # The counts of symbols 1..m-1, then their sum (one row for m <= 2).
+                rows = np.array([*c[1:], sum(c[1:])][: len(rows_lo)])
+                folded = ((rows_lo <= rows[:, None]) & (rows[:, None] <= rows_hi)).all(axis=0)
+                inside = [seqht.protocol._inside(c, np.stack((lo[:, j], hi[:, j]), axis=1).tolist()) for j in range(lo.shape[1])]
+                assert folded.tolist() == inside
+
+
+@pytest.mark.parametrize("policy", ["fixed_horizon", "early_decide"])
+@pytest.mark.parametrize(
+    "probs",
+    [
+        P_JOINT.probs,
+        [[0.3, 0.1], [0.2, 0.1], [0.1, 0.2]],
+        [[0.5, 0.3, 0.2]],
+    ],
+    ids=["2x2", "3x2", "1x3"],
+)
+def test_rejects_nothing_exactly_when_every_window_holds_every_count_vector(policy, probs):
+    # The oracle reads the early windows too, which ``rejects_nothing`` skips
+    # as implied by the horizon's.
+    joint = JointPmf.from_probs(probs)
+    k, n = 2, 3
+    seen = set()
+    for eta in (1.5, 1.0, 1 - 1e-12, 0.76, 0.75, 0.7, 0.5):
+        rule = seqht.protocol._rule(ProtocolConfig(k=k, n=n, eta=eta, policy_kind=policy), joint)
+        read = list(zip(rule.horizon, (k * n, k * n)))
+        if policy == "early_decide":
+            read += [(w, t * k) for t, w in enumerate(rule.y_early.tolist(), 1)]
+        every = all(seqht.protocol._inside(c, w) for w, total in read for c in _count_vectors(len(w), total))
+        assert rule.rejects_nothing == every
+        seen.add(every)
+    assert seen == {True, False}
+
+
 P_BENCH = JointPmf.from_probs([[0.81, 0.09], [0.09, 0.01]])
 # A zero cell ends the first joint row, and the cdf reaches 1 at cell 5 of 8,
 # so two thresholds are 2**53.
@@ -791,6 +867,13 @@ def test_fixed_horizon_trials_stop_drawing_once_their_reject_is_settled(monkeypa
         assert low * budget <= sum(hashed) <= high * budget
 
 
+def _cell_counts(above, total, shape):
+    """Joint cell counts, cells first in ``shape`` and trials last, from the
+    ``above`` of ``_stream_counts``: cell c has above[c - 1] - above[c]."""
+    edges = np.vstack((np.full(above.shape[1], total), above, np.zeros(above.shape[1], dtype=above.dtype)))
+    return (edges[:-1] - edges[1:]).reshape(shape + above.shape[1:])
+
+
 # A leading zero cell gives T = 0; a cdf that reaches 1 at cell 2 of 6 gives
 # three thresholds of 2**53.
 RAW_WORD_JOINTS = [[[0.0, 0.5], [0.25, 0.25]], [[0.0, 0.5, 0.5], [1e-17, 0.0, 0.0]], [[0.3, 0.0, 0.2], [0.1, 0.25, 0.15]]]
@@ -817,17 +900,18 @@ def test_simulate_batch_counts_raw_words_like_the_float_sampler(monkeypatch, pol
         out[:] = words[counters % words.size]
         return out
 
-    cells = []
-    real_cells = seqht.protocol._cell_counts
+    streamed = []
+    stream = seqht.protocol._stream_counts
     monkeypatch.setattr(seqht.protocol, "random_bits_into", fake_hash)
-    monkeypatch.setattr(seqht.protocol, "_cell_counts", lambda *a: cells.append(real_cells(*a)) or cells[-1])
+    monkeypatch.setattr(seqht.protocol, "_stream_counts", lambda *a: streamed.append(stream(*a)) or streamed[-1])
     # Tiles of 4 draws, and a horizon long enough that the uint8 tile sums
     # are moved into the int64 counts several times (T = 0 hits every word).
     monkeypatch.setattr(seqht.protocol, "_TILE_DRAWS", 5 * words.size)
     k, n = 2, 150
     cfg = ProtocolConfig(k=k, n=n, eta=0.2, policy_kind=policy)
     decisions, stops = simulate_batch(cfg, joint, joint, np.arange(words.size, dtype=np.uint64))
-    counts = cells[-1]  # the joint counts of the trials that reach the horizon, trials last
+    # The joint counts of the trials that reach the horizon, trials last.
+    counts = _cell_counts(streamed[-1][1], k * n, joint.probs.shape)
     reached = 0
     for s in range(words.size):
         seen = words[(np.arange(k * n) + s) % words.size]
