@@ -1,5 +1,6 @@
 """Semantic exception hierarchy shared across the toolkit, and scalar checks."""
 
+import math
 import numbers
 
 
@@ -64,8 +65,15 @@ def _integer(name: str, value, positive: bool = True) -> int:
 
 
 def _real(name: str, value) -> float:
-    """``value`` as a float, or ``InvalidConfig`` naming ``name``: a bool or
-    a numeric string is not a real number."""
+    """``value`` as a finite float, or ``InvalidConfig`` naming ``name``: a
+    bool or a numeric string is not a real number, and NaN or an infinity
+    (which JSON configs can spell) is not a finite one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidConfig(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        real = float(value)
+    except OverflowError:  # an integer past the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise InvalidConfig(f"{name} must be finite, got {value!r}")
+    return real

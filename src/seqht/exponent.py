@@ -12,6 +12,7 @@ certifies the solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 
@@ -187,8 +188,8 @@ def grid_oracle_exponent(p: JointPmf, q: JointPmf, grid_step: float) -> float:
     ``InvalidConfig`` before any array is built.
     """
     _require_binary_pair(p, q)
-    if not (grid_step > 0):
-        raise InvalidConfig(f"grid_step must be > 0, got {grid_step}")
+    if not (0 < grid_step < math.inf):
+        raise InvalidConfig(f"grid_step must be finite and > 0, got {grid_step}")
     u = float(p.probs[0].sum())
     v = float(p.probs[:, 0].sum())
     lo = max(0.0, u + v - 1.0)

@@ -52,7 +52,6 @@ from .protocol import (
     PolicyKind,
     ProtocolConfig,
     _rule,
-    _sum_windows,
     simulate_batch,
 )
 from .rng import derive_seed
@@ -112,7 +111,8 @@ class ErrorReport:
 
     @property
     def neg_ln_beta_per_sample(self) -> float:
-        return -self.log_beta / self.total_samples
+        # 0.0 - x rather than -x, so that beta = 1 gives 0.0, not -0.0.
+        return 0.0 - self.log_beta / self.total_samples
 
 
 @dataclass(frozen=True)
@@ -425,7 +425,8 @@ def _exact_report(
     log_accept_p, log_accept_q = log_accepts
     # alpha = 1 - exp(log_accept_p), computed without cancellation.
     alpha = float(-np.expm1(log_accept_p)) if log_accept_p > -np.inf else 1.0
-    alpha = min(max(alpha, 0.0), 1.0)
+    # Clamped into [0, 1] with -0.0 as 0.0: max(-0.0, 0.0) is -0.0.
+    alpha = 0.0 if alpha <= 0 else min(alpha, 1.0)
     log_alpha = math.log(alpha) if alpha > 0 else -math.inf
     beta = math.exp(log_accept_q) if log_accept_q > -math.inf else 0.0
     return ErrorReport(
@@ -479,14 +480,13 @@ def _exact_binary(
     n, k = config.n, config.k
     total = config.total_samples
     rule = _rule(config, p)
-    x_mask, y_mask = (_binary_mask(*_sum_windows(*np.array(w).T, total), total, total + 1) for w in rule.horizon)
+    x_mask, y_mask = (_binary_mask(lo, hi, total, total + 1) for lo, hi in rule.folded_horizon)
     # rejects[t - 1, b]: whether round t < n rejects b counts of y = 0
     # (columns past t*k unused).
     rejects = np.zeros((0, total + 1), dtype=bool)
     if config.policy_kind is PolicyKind.EARLY_DECIDE:
-        played = k * np.arange(1, n)
-        lo, hi = _sum_windows(*rule.y_early.T, played)
-        rejects = ~_binary_mask(lo.T, hi.T, played[:, None], total + 1)
+        early = rule.folded_early
+        rejects = ~_binary_mask(early[..., 0], early[..., 1], k * np.arange(1, n)[:, None], total + 1)
     lg = _log_factorials(total)
     log_accepts, e_ts = [], []
     for joint in (m.probs for m in measures):

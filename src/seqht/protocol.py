@@ -251,6 +251,32 @@ def _sum_windows(lo, hi, totals) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _outside(above: np.ndarray, checks) -> np.ndarray:
+    """Which trials (columns of ``above``) have the count of some check
+    (adds, subs, low, high) outside [low, high].
+
+    ``above`` is held in the narrowest signed type of w bits that fits
+    -(N + 1), so 2N < 2**w. Every count, low and high lies in [-N, N]
+    (an empty window, high < low, rejects every trial before any
+    arithmetic), so c - low and high - c lie in [-2N, 2N]. The wrapped
+    difference c - low, read unsigned, then exceeds high - low exactly
+    when c < low or c > high: one compare gives the int64 answer.
+    """
+    out = np.zeros(above.shape[1], dtype=bool)
+    count = np.empty(above.shape[1], dtype=above.dtype)
+    for adds, subs, low, high in checks:
+        if high < low:
+            out[:] = True
+            break
+        np.subtract(above[adds[0]], low, out=count)
+        for j in adds[1:]:
+            count += above[j]
+        for j in subs:
+            count -= above[j]
+        out |= count.view(count.dtype.str.replace("i", "u")) > high - low
+    return out
+
+
 @dataclass(frozen=True)
 class _DecisionRule:
     """The decision center's rule for one (config, null marginals), compiled
@@ -272,7 +298,9 @@ class _DecisionRule:
     at their reject margins (an int64 array, 16 bytes per symbol and round,
     which the scalar readers turn into lists row by row). The batch
     simulator and the exact evaluators read them folded by ``_sum_windows``
-    (``horizon_checks``, ``y_checks``, ``rejects_nothing``). ``_rule``
+    (``folded_horizon``, ``folded_early``), the batch simulator as checks on
+    the ``rows`` of its counts, which ``_outside`` tests for both policies
+    (``settled``, ``rejects_early``). ``_rule``
     keeps one rule per config on the null pmf. ``p_y`` is None for a
     sensor-side rule that only encodes.
     """
@@ -331,54 +359,57 @@ class _DecisionRule:
         return self.windows(totals, self.p_y.probs, self.reject_margins[:, None])
 
     @cached_property
-    def y_checks(self) -> tuple[np.ndarray, np.ndarray]:
-        """``y_early`` folded by ``_sum_windows`` and held as (base, width),
-        for counts held in the narrowest signed type that fits -(N + 1): row
-        c, round t - 1 passes when 0 <= count - base <= width, which one
-        unsigned compare tests. An empty window gets base -1 and width 0,
-        which no count passes.
-        """
-        k, n = self.config.k, self.config.n
-        lo, hi = _sum_windows(*self.y_early.T, k * np.arange(1, n))
-        empty = hi < lo
-        wide = np.min_scalar_type(-(n * k + 1))
-        base = np.where(empty, -1, lo).astype(wide)
-        width = np.where(empty, 0, hi - lo).astype(wide.str.replace("i", "u"))
-        return base[..., None], width[..., None]
+    def folded_horizon(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """[x, y]: the horizon windows of each axis folded by
+        ``_sum_windows``, as (lo, hi), one entry per row."""
+        total = self.config.total_samples
+        return [_sum_windows(*np.array(windows).T, total) for windows in self.horizon]
+
+    @cached_property
+    def folded_early(self) -> np.ndarray:
+        """Row t-1: ``y_early``'s windows of round t folded by
+        ``_sum_windows``, as [lo, hi] per row, t = 1..n-1."""
+        lo, hi = _sum_windows(*self.y_early.T, self.config.k * np.arange(1, self.config.n))
+        return np.stack((lo.T, hi.T), axis=-1)
+
+    @cached_property
+    def rows(self) -> list[list[tuple[list[int], list[int]]]]:
+        """[x, y]: the rows ``_sum_windows`` folds each axis into, as
+        (adds, subs) on the counts the batch simulator keeps, ``above`` (see
+        ``_stream_counts``): a trial's count of the row is
+        sum(above[adds]) - sum(above[subs]). A one-symbol axis gets none: its
+        count always ends inside its window, as p = 1 and eta > 0."""
+        ny = self.p_y.probs.size
+        cell = np.arange(self.p_x.probs.size * ny)
+        rows = []
+        for symbol, m in ((cell // ny, self.p_x.probs.size), (cell % ny, ny)):
+            # The cells of symbols 1..m-1, and of their sum past two symbols.
+            sets = [symbol == s for s in range(1, m)] + ([symbol > 0] if m > 2 else [])
+            # The draws of a cell set are the sum over its cells c of
+            # above[c - 1] - above[c]; no set holds cell 0, so no term is
+            # constant.
+            steps = [np.diff(cells.astype(np.int8)) for cells in sets]
+            rows.append([(np.flatnonzero(step > 0).tolist(), np.flatnonzero(step < 0).tolist()) for step in steps])
+        return rows
 
     @cached_property
     def horizon_checks(self) -> list[tuple[list[int], list[int], int, int]]:
-        """The horizon windows folded by ``_sum_windows``, as checks on the
-        counts the batch simulator keeps, ``above`` (see ``_stream_counts``):
-        for each (adds, subs, low, high), after d of the N draws, the count
-        sum(above[adds]) - sum(above[subs]) of a trial that can still end
-        inside every window lies in [low + d, high].
+        """The folded horizon windows as checks on ``above``: for each row
+        (adds, subs) with (low, high), after d of the N draws, the count of a
+        trial that can still end inside every window lies in [low + d, high].
 
         Counts only grow, so a count that must end in [lo, hi] can do so only
         if lo - (N - d) <= c <= hi. At d = N that is the window itself, so
-        the checks at the horizon are the verdict. A one-symbol axis gets
-        none: its count ends at N, inside its window as p = 1 and eta > 0. A
-        window no count can end in becomes [N + 1, -1], which no count can
-        reach.
+        the checks at the horizon are the verdict. A window no count can end
+        in becomes [N + 1, -1], which no count can reach.
         """
         total = self.config.total_samples
-        ny = self.p_y.probs.size
-        cell = np.arange(self.p_x.probs.size * ny)
         checks = []
-        for windows, symbol in zip(self.horizon, (cell // ny, cell % ny)):
-            if len(windows) == 1:
-                continue
-            lo, hi = _sum_windows(*np.array(windows).T, total)
-            # The cells of symbols 1..m-1 and of their sum (one row with two symbols).
-            sets = [symbol == s for s in range(1, len(windows))] + [symbol > 0]
-            for cells, low, high in zip(sets[: len(lo)], lo.tolist(), hi.tolist()):
+        for rows, (lo, hi) in zip(self.rows, self.folded_horizon):
+            for (adds, subs), low, high in zip(rows, lo.tolist(), hi.tolist()):
                 if low > high:
                     low, high = total + 1, -1
-                # The draws of a cell set are the sum over its cells c of
-                # above[c - 1] - above[c]; no set holds cell 0, so no term
-                # is constant.
-                step = np.diff(cells.astype(np.int8))
-                checks.append((np.flatnonzero(step > 0).tolist(), np.flatnonzero(step < 0).tolist(), low - total, high))
+                checks.append((adds, subs, low - total, high))
         return checks
 
     @cached_property
@@ -394,21 +425,13 @@ class _DecisionRule:
         """Which trials must reject at the horizon, given their ``above``
         after ``drawn`` of the N draws (see ``horizon_checks``): at
         drawn = N, the trials the horizon verdict rejects."""
-        out = np.zeros(above.shape[1], dtype=bool)
-        count = np.empty(above.shape[1], dtype=np.int64)
-        for adds, subs, low, high in self.horizon_checks:
-            base = low + drawn
-            if high < base:
-                out[:] = True
-                break
-            # One unsigned compare tests both ends, as in ``y_checks``.
-            np.subtract(above[adds[0]], base, out=count)
-            for j in adds[1:]:
-                count += above[j]
-            for j in subs:
-                count -= above[j]
-            out |= count.view(np.uint64) > high - base
-        return out
+        return _outside(above, ((adds, subs, low + drawn, high) for adds, subs, low, high in self.horizon_checks))
+
+    def rejects_early(self, above: np.ndarray, t: int) -> np.ndarray:
+        """Which trials early-decide rejects at round t < n, given their
+        ``above`` after its t*k draws: the y rows outside ``folded_early``."""
+        windows = self.folded_early[t - 1].tolist()
+        return _outside(above, ((*row, lo, hi) for row, (lo, hi) in zip(self.rows[1], windows)))
 
 
 def _rule(config: ProtocolConfig, null: JointPmf | Pmf) -> _DecisionRule:
@@ -609,13 +632,13 @@ def acceptance_region_membership(
     return verdicts[-1] == ACCEPT
 
 
-# Draws (trials x samples) per tile of simulate_batch, rounded down to whole
-# rounds (at least one, at most the horizon). A tile's two uint64 buffers
-# then take 1 MB and stay in a 2 MB L2 cache: on 16,384 trials, hashing tiles
-# of 16 draws per trial took 5.5 ns per draw, tiles of 2 or 4 took 2.5 ns,
-# and a 16,384-trial chunk at N = 2000 ran about 10% faster with 4 than 2.
-# Early-decide checks every round of a tile once the tile is counted, so each
-# of its ufunc calls spans a whole tile too.
+# Draws (trials x samples) per tile of simulate_batch under the fixed
+# horizon, rounded down to whole rounds (at least one, at most the horizon).
+# A tile's two uint64 buffers then take 1 MB and stay in a 2 MB L2 cache: on
+# 16,384 trials, hashing tiles of 16 draws per trial took 5.5 ns per draw,
+# tiles of 2 or 4 took 2.5 ns, and a 16,384-trial chunk at N = 2000 ran
+# about 10% faster with 4 than 2. Early-decide checks every round, so its
+# tiles are one round long.
 _TILE_DRAWS = 65_536
 
 # Draws per trial between the fixed horizon's settled-reject checks, rounded
@@ -635,30 +658,23 @@ class _DrawTiles:
     threshold of 2**53 is never reached and gets no word (see ``seqht.rng``).
     Tiles have at most ``rows`` draws per trial, for at most ``trials``
     trials. Hits are summed over the whole tile, in uint8 when it has fewer
-    than 256 draws per trial.
-
-    Given ``ny``, the same compares also give each draw's y symbol. The cells
-    run row by row, so a draw's cell is the number of thresholds it reaches,
-    and reaching T_j moves its y symbol up by one, or back by ny - 1 where
-    cell j ends a joint row ((j + 1) % ny == 0). Those steps wrap in the
-    unsigned code and add up to the symbol.
+    than 256 draws per trial and else in ``dtype``, the type of the counts
+    they are added to: on 16,384 trials, summing 4 rows into uint8 and
+    adding that to int16 took 5.7 us, against 10.3 us summing into int16.
     """
 
-    def __init__(self, thresholds: np.ndarray, trials: int, rows: int, ny: int | None = None):
+    def __init__(self, thresholds: np.ndarray, trials: int, rows: int, dtype: np.dtype):
         self.words = thresholds[thresholds < 2**53] << np.uint64(11)
         size = rows * trials
         self.bits = np.empty(size, dtype=np.uint64)
         self.scratch = np.empty(size, dtype=np.uint64)
         self.hits = np.empty(size, dtype=np.bool_)
-        self.partial = np.empty(trials, dtype=np.uint8 if rows < 256 else np.int64)
-        self.ny = ny
-        self.codes = None if ny is None else np.empty(size, dtype=np.min_scalar_type(ny - 1))
-        self.back = np.empty_like(self.codes) if ny and ny > 2 else None
+        self.partial = np.empty(trials, dtype=np.uint8 if rows < 256 else dtype)
 
-    def add_counts(self, seeds: np.ndarray, start: int, rows: int, out: np.ndarray) -> np.ndarray | None:
+    def add_counts(self, seeds: np.ndarray, start: int, rows: int, out: np.ndarray) -> None:
         """Add to ``out[j]`` the number of draws with word >= ``words[j]``,
         for the tile of counters start..start+rows-1 of each trial (trials
-        last), and return the tile's y codes (None without ``ny``)."""
+        last)."""
         trials = seeds.size
         size = rows * trials
         bits = self.bits[:size].reshape(rows, trials)
@@ -666,26 +682,10 @@ class _DrawTiles:
         hits = self.hits[:size].reshape(rows, trials)
         ones = hits.view(np.uint8)
         partial = self.partial[:trials]
-        codes = back = None
-        if self.codes is not None:
-            codes = self.codes[:size].reshape(rows, trials)
-            codes.fill(0)
-        if self.back is not None:
-            back = self.back[:size].reshape(rows, trials)
-            step_back = codes.dtype.type(self.ny - 1)
         for j, word in enumerate(self.words):
             np.greater_equal(bits, word, out=hits)
             np.add.reduce(ones, axis=0, out=partial)
             out[j] += partial
-            if codes is None:
-                continue
-            if (j + 1) % self.ny:
-                codes += ones
-            elif back is not None:
-                codes -= np.multiply(ones, step_back, out=back)
-            elif self.ny == 2:
-                codes -= ones
-        return codes
 
 
 def _stream_counts(
@@ -695,90 +695,49 @@ def _stream_counts(
     trials still drawing at round n and their ``above``: ``above[j, i]`` is
     the number of trial i's draws with word >= T_j << 11, so its draws of
     joint cell c number above[c - 1, i] - above[c, i], with above[-1] the
-    draws made and above[cells - 1] = 0.
+    draws made and above[cells - 1] = 0. ``above`` is held in the narrowest
+    signed type that fits -(N + 1), which ``_outside`` compares exactly.
 
-    Under early-decide, each tile's y codes give the running y counts of its
-    rounds, which are checked against their windows (``rule.y_early``) for
-    every round before the horizon. A rejected trial gets its stopping round
-    in ``stops`` and is compacted out, so it draws no more.
+    Under early-decide, tiles are one round long, and after each round
+    t < n the y rows of ``above`` are checked against the round's folded
+    windows (``rule.rejects_early``). A rejected trial gets its stopping
+    round in ``stops`` and is compacted out, so it draws no more.
 
-    Under the fixed horizon, the counts in ``above`` are checked every
-    ``_SETTLE_DRAWS`` draws per trial against what can still end in the
-    horizon windows (``rule.settled``). A trial that must reject is
-    compacted out the same way; it keeps its stop at round n. Trials whose
-    accept is certain keep drawing: their full counts stay available, and
-    an accept can only be certain in the last few rounds.
+    Under the fixed horizon, ``above`` is checked every ``_SETTLE_DRAWS``
+    draws per trial against what can still end in the horizon windows
+    (``rule.settled``). A trial that must reject is compacted out the same
+    way; it keeps its stop at round n. Trials whose accept is certain keep
+    drawing: their full counts stay available, and an accept can only be
+    certain in the last few rounds.
     """
     n, k = rule.config.n, rule.config.k
-    ny = rule.p_y.probs.size
-    early = rule.config.policy_kind is PolicyKind.EARLY_DECIDE and n > 1
-    rows = tile * k
-    tiles = _DrawTiles(thresholds, seeds.size, rows, ny if early else None)
+    early = rule.config.policy_kind is PolicyKind.EARLY_DECIDE
+    above = np.zeros((thresholds.size, seeds.size), dtype=np.min_scalar_type(-(n * k + 1)))
+    tiles = _DrawTiles(thresholds, seeds.size, tile * k, above.dtype)
     live = np.arange(seeds.size)  # trials still drawing
-    above = np.zeros((thresholds.size, seeds.size), dtype=np.int64)
-    # Tiles add up in uint8, moved into ``above`` before they could wrap:
-    # adding each tile straight into int64 made a 16,384-trial chunk 11%
-    # slower (11 us per tile and threshold, against 26 us for the compare).
-    # The fixed horizon's checks read ``above``, so they flush the sums, and
-    # as _SETTLE_DRAWS < 256 the sums then never get near a wrap.
-    per_flush = 255 // rows
-    every = max(1, _SETTLE_DRAWS // rows)  # tiles between fixed-horizon checks
-    if per_flush and not early:
-        per_flush = every
-    sums = np.zeros((thresholds.size, seeds.size), dtype=np.uint8) if per_flush else above
-    if early:
-        base, width = rule.y_checks
-        per_round = np.uint8 if k < 256 else base.dtype
-        y = np.zeros((ny - 1, seeds.size), dtype=base.dtype)  # counts of y symbols 1..ny-1 so far
+    every = max(1, _SETTLE_DRAWS // (tile * k))  # tiles between fixed-horizon checks
     for i, t0 in enumerate(range(0, n, tile), 1):
-        r = min(tile, n - t0)
-        codes = tiles.add_counts(seeds, t0 * k, r * k, sums)
-        if per_flush and (i % per_flush == 0 or t0 + tile >= n):
-            above += sums
-            sums[:] = 0
-        if not early:
-            if i % every or t0 + tile >= n:
-                continue
-            out = rule.settled(above, (t0 + r) * k)
+        t = min(t0 + tile, n)  # rounds drawn after this tile
+        tiles.add_counts(seeds, t0 * k, (t - t0) * k, above)
+        if t == n:
+            break
+        if early:
+            out = rule.rejects_early(above, t)
+        elif i % every:
+            continue
         else:
-            checked = min(r, n - 1 - t0)  # rounds of the tile before the horizon
-            if checked < 1:
-                continue
-            # run[s - 1, i]: the count of y symbol s through round t0 + i + 1.
-            # Each round's counts are summed in uint8, then added up over the
-            # tile's rounds in log2(checked) passes (cumsum over that axis ran
-            # 30x slower on 16,384 trials). Symbol 0 is checked through the sum
-            # of the others (see ``rule.y_checks``).
-            by_round = codes[: checked * k].reshape(checked, k, live.size)
-            run = np.empty((len(base), checked, live.size), dtype=base.dtype)
-            for s in range(1, ny):
-                ones = by_round if ny == 2 else (by_round == s).view(np.uint8)  # two symbols: the code is 0/1
-                run[s - 1] = np.add.reduce(ones, axis=1, dtype=per_round)
-            run[: ny - 1, 0] += y
-            d = 1
-            while d < checked:
-                run[: ny - 1, d:] += run[: ny - 1, :-d]
-                d *= 2
-            if ny != 2:
-                np.add.reduce(run[: ny - 1], axis=0, out=run[-1])
-            y = run[: ny - 1, -1]
-            window = slice(t0, t0 + checked)
-            outside = np.subtract(run, base[:, window]).view(width.dtype) > width[:, window]
-            rejected = outside[0] if len(outside) == 1 else outside.any(axis=0)
-            out = rejected.any(axis=0)
+            out = rule.settled(above, t * k)
         if out.any():
             # take() on index arrays: a boolean index on axis 1 took 4x longer.
-            # The counts move into their arrays' first columns, row by row, so
+            # The counts move into the array's first columns, row by row, so
             # the chunk's peak holds no second copy of them.
             kept = np.flatnonzero(~out)
             if early:
-                gone = np.flatnonzero(out)
-                stops[live[gone]] = t0 + 1 + rejected.take(gone, axis=1).argmax(axis=0)
-                y = y.take(kept, axis=1)
+                stops[live[np.flatnonzero(out)]] = t
             live, seeds = live[kept], seeds[kept]
-            for row in (*above, *sums) if per_flush else above:
+            for row in above:
                 row[: kept.size] = row.take(kept)
-            above, sums = above[:, : kept.size], sums[:, : kept.size]
+            above = above[:, : kept.size]
             if not live.size:
                 break
     return live, above
@@ -815,36 +774,38 @@ def simulate_batch(
     modulo 2**64 as ``SourceModel`` takes its seed; a uint64 array is used
     as it is.
 
-    The horizon streams in tiles of whole rounds, about ``_TILE_DRAWS``
-    draws for all trials together, hashed into buffers allocated once per
-    call, so memory is O(trials x cells) at any horizon. A draw is never
-    turned into a float or searched for: with w its 64-bit word and T_j the
-    integer thresholds of the joint's cdf, the scalar protocol draws a
-    symbol past cell j exactly when w >= T_j << 11 (see ``seqht.rng``), so
-    counting those words per trial yields the counts the scalar protocol
-    sees. Early-decide reads one more thing off the same compares, each
-    draw's y symbol as an unsigned code; per-round counts of the codes give
-    every trial's running y counts, whose every round before the horizon is
-    checked once its tile is counted. The horizon verdict reads only the final marginal counts, and
-    counts only grow: once a count is past its window's top, or too low to
-    reach its bottom with the draws left, the trial must reject
-    (``rule.settled``). Under the fixed horizon the counts are checked for
-    that every ``_SETTLE_DRAWS`` draws; with all N draws made, the same
-    check is the horizon verdict. Rejected trials of either policy are
-    compacted out and draw no more; counter addressing keeps every other
-    trial's draws unchanged. Trials whose accept is certain keep drawing,
-    so every accepted trial has its full counts.
+    The horizon streams in tiles of whole rounds, hashed into buffers
+    allocated once per call, so memory is O(trials x cells) at any horizon:
+    one round under early-decide, and about ``_TILE_DRAWS`` draws for all
+    trials together under the fixed horizon. A draw is never turned into a
+    float or searched for: with w its 64-bit word and T_j the integer
+    thresholds of the joint's cdf, the scalar protocol draws a symbol past
+    cell j exactly when w >= T_j << 11 (see ``seqht.rng``), so counting
+    those words per trial yields the counts the scalar protocol sees.
+    Early-decide checks the y counts after every round before the horizon
+    against that round's windows (``rule.rejects_early``). The horizon
+    verdict reads only the final marginal counts, and counts only grow: once
+    a count is past its window's top, or too low to reach its bottom with
+    the draws left, the trial must reject (``rule.settled``). Under the
+    fixed horizon the counts are checked for that every ``_SETTLE_DRAWS``
+    draws; with all N draws made, the same check is the horizon verdict.
+    Both policies check with one function, ``_outside``. Rejected trials of
+    either policy are compacted out and draw no more; counter addressing
+    keeps every other trial's draws unchanged. Trials whose accept is
+    certain keep drawing, so every accepted trial has its full counts.
 
     On a 16,384-trial chunk of a 2x2 joint (2 MB L2 per core), per draw,
     hashing took 1.8 ns, comparing with the three thresholds 0.8 ns and
     counting the hits 0.15 ns, against 9.4, 0.9 and 1.2 ns for the
     ``uniform_ints`` blocks of 16 draws per trial used before (medians of
     five runs on one host); the fixed-horizon chunk at N = 200 peaks at
-    2.6 MB of allocations, against 7.5 MB. An early-decide chunk at N = 200
-    (default eta) took 26-30 ms under the null and 25-29 ms under the
-    alternative, against 83-89 and 51-56 ms when it summed the hits of every
-    round of a block into a table of per-round cell counts, and peaks at
-    2.7 MB of allocations, against 13.0 MB. Settled rejects cut the hashed
+    1.9 MB of allocations, against 7.5 MB. An early-decide chunk at N = 200
+    (default eta) took 16-23 ms under the null and 14-20 ms under the
+    alternative (medians of 7-15 runs in eight series, 2-vCPU host), and
+    peaks at 1.5 and 1.3 MB of allocations. One-round tiles cost small
+    chunks a fixed overhead per round: 1,000 trials at N = 2000 took 37-39
+    ms under the null, against 11-12 ms with the multi-round tiles and
+    per-draw y codes used before. Settled rejects cut the hashed
     draws of a fixed-horizon chunk of the benchmark pair under the uniform
     alternative from N to 0.34 N per trial at N = 200 (eta = 0.05) and to
     0.25 N at N = 2000 (eta = 0.02); under the null, 99.9% are still drawn.
@@ -855,7 +816,8 @@ def simulate_batch(
     rule = _rule(config, p_null)
     thresholds = joint._thresholds
     trials = seeds.shape[0]
-    tile = max(1, min(n, _TILE_DRAWS // (k * max(1, trials))))  # rounds per tile
+    early = config.policy_kind is PolicyKind.EARLY_DECIDE
+    tile = 1 if early else max(1, min(n, _TILE_DRAWS // (k * max(1, trials))))  # rounds per tile
 
     decisions = np.full(trials, REJECT, dtype=np.int64)
     stops = np.full(trials, n, dtype=np.int64)

@@ -419,6 +419,30 @@ def test_bad_scalar_field_is_a_validation_error(tmp_path, capsys, command, body,
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400], ids=["inf", "-inf", "nan", "1e400-int"])
+@pytest.mark.parametrize(
+    "command,body,field",
+    [
+        ("simulate", {**SIM, "protocol": {"k": 2, "n": 5}}, "eta"),
+        ("simulate", {**SIM, "protocol": {"k": 2, "n": 5}}, "epsilon"),
+        ("exponent", SIM, "tolerance"),
+        ("exponent", SIM, "grid_step"),
+    ],
+)
+def test_non_finite_real_is_a_validation_error(tmp_path, capsys, command, body, field, value):
+    # JSON configs can spell Infinity and NaN; an infinite tolerance once
+    # stopped IPF after one sweep, reporting 0.00778 against an optimum of
+    # 0.04772, and an infinite grid step gave a wrong grid oracle. An
+    # integer past the float range once raised OverflowError.
+    if command == "simulate":
+        body = {**body, "protocol": {**body["protocol"], field: value}}
+    else:
+        body = {**body, field: value}
+    cfg = write_config(tmp_path, **body)
+    assert run([command, "--config", cfg]) == EXIT_VALIDATION
+    assert field in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "matrix",
     [[[0.5, 0.6], [0.0, 0.0]], [[1.25, -0.25], [0.0, 0.0]], [0.25, 0.75], [[[1.0]]], {"a": 1}, None,
@@ -580,6 +604,18 @@ def test_error_csv_row_mc_fills_all_columns(tmp_path, capsys):
     assert fields[9] == "mc"
     assert fields[10] == "256"
     assert float(fields[11]) == report.ci_halfwidth
+
+
+@pytest.mark.parametrize("method", ["exact", "mc"])
+def test_error_csv_row_prints_no_negative_zero(tmp_path, capsys, method):
+    # At eta = 1.5 the rule rejects nothing: alpha = 0 and beta = 1, so
+    # -ln(beta) / N = 0, each printed as 0 and never as -0.
+    cfg = write_config(
+        tmp_path, **SIM, protocol={"k": 2, "n": 10, "eta": 1.5}, method=method, trials=100, seed=1
+    )
+    assert run(["simulate", "--config", cfg]) == EXIT_OK
+    fields = capsys.readouterr().out.strip().split("\n")[1].split(",")
+    assert (fields[4], fields[5], fields[6]) == ("0", "1", "0")
 
 
 def test_fit_csv_rows_follow_the_line(tmp_path, capsys):

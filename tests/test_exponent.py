@@ -173,6 +173,13 @@ def test_grid_oracle_trivial_and_degenerate_cases():
     assert grid_oracle_exponent(p, UNIFORM, 1e-3) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("step", [math.inf, math.nan, -math.inf])
+def test_grid_oracle_refuses_a_non_finite_step(step):
+    # An infinite step scanned only the low end of the coupling's range.
+    with pytest.raises(InvalidConfig, match="grid_step"):
+        grid_oracle_exponent(PRODUCT_P, UNIFORM, step)
+
+
 def test_grid_oracle_refuses_a_scan_past_a_million_points():
     # PRODUCT_P's coupling cell ranges over [0.8, 0.9]: a step of 1e-7 would
     # scan 1,000,001 points (about 100 MB), 1e-6 scans 100,001.

@@ -742,19 +742,23 @@ Q_FAR_3X3 = JointPmf.from_probs([[0.05, 0.05, 0.3], [0.05, 0.05, 0.2], [0.05, 0.
 def _kernel_cases():
     # ``settles`` says which fixed-horizon trials must be dropped as settled
     # rejects before the horizon: "H1" some under the alternative, "all"
-    # every trial under both hypotheses.
+    # every trial under both hypotheses. ``tile_draws`` patches
+    # ``_TILE_DRAWS``, and the ids name the tiles it gives the fixed horizon;
+    # early-decide runs every case on tiles of one round.
     for hypothesis in (Hypothesis.H0, Hypothesis.H1):
         for policy in ("fixed_horizon", "early_decide"):
             case = f"{hypothesis.value}-{policy}"
-            # A round of 300 draws overflows a uint8 partial sum, and 3-round
-            # tiles do not divide the 4-round horizon.
+            # A round of 300 draws sums more hits per tile than a uint8
+            # holds, and the fixed horizon's 3-round tiles do not divide the
+            # 4-round horizon.
             yield pytest.param(policy, hypothesis, P_JOINT, Q_UNIFORM, 300, 4, 0.06, None, 64, None, "H1", id=f"{case}-k300")
-            # Tiles of 3 rounds, not dividing 40.
+            # Fixed-horizon tiles of 3 rounds, not dividing 40.
             yield pytest.param(
                 policy, hypothesis, P_JOINT, Q_UNIFORM, 3, 40, 0.05, 3 * 3 * 64, 64, None, "H1", id=f"{case}-small-tiles"
             )
-            # The y code wraps at each row end: one tile of the whole horizon,
-            # then tiles of 3 rounds.
+            # More than two y symbols, whose checks add and subtract several
+            # rows of the counts: under the fixed horizon, one tile of the
+            # whole horizon, then tiles of 3 rounds.
             for name, p_null, alternative in (("3x3", P_3X3, Q_3X3), ("2x4", P_2X4, Q_2X4)):
                 for tile_draws in (None, 3 * 2 * 64):
                     tiles = "one-tile" if tile_draws is None else "3-round-tiles"
@@ -762,8 +766,9 @@ def _kernel_cases():
                         policy, hypothesis, p_null, alternative, 2, 30, 0.2, tile_draws, 64, None, None,
                         id=f"{case}-{name}-{tiles}",
                     )
-            # The benchmark's chunk shape: 64-round tiles at 512 trials, and
-            # the 2-round tiles of a 16,384-trial chunk.
+            # The benchmark's chunk shapes under the fixed horizon: 64-round
+            # tiles at 512 trials, and the 2-round tiles of a 16,384-trial
+            # chunk.
             for tile_draws in (None, 2 * 2 * 512):
                 tiles = "64-round-tiles" if tile_draws is None else "2-round-tiles"
                 yield pytest.param(
@@ -845,6 +850,56 @@ def test_simulate_batch_tiles_match_protocol_runs(
             assert dropped > 0
 
 
+def _width_cases():
+    # (k, n, type of ``above``): N = 127 is the last horizon held in int8,
+    # N = 128 the first in int16, and N = 32,768 is past int16.
+    widths = [(1, 127, np.int8), (1, 128, np.int16), (4, 8192, np.int32)]
+    for hypothesis in (Hypothesis.H0, Hypothesis.H1):
+        for policy in ("fixed_horizon", "early_decide"):
+            for k, n, dtype in widths:
+                yield pytest.param(policy, hypothesis, P_BENCH, Q_UNIFORM, 0.3, k, n, dtype, id=f"{hypothesis.value}-{policy}-n{n * k}")
+        # Three rows per axis, whose sums of counts wrap too.
+        for k, n, dtype in widths[:2]:
+            yield pytest.param(
+                "fixed_horizon", hypothesis, P_3X3, Q_FAR_3X3, 0.2, k, n, dtype,
+                id=f"{hypothesis.value}-fixed_horizon-3x3-n{n * k}",
+            )
+
+
+@pytest.mark.parametrize("policy, hypothesis, p_null, alternative, eta, k, n, dtype", list(_width_cases()))
+def test_simulate_batch_matches_protocol_runs_at_count_width_boundaries(
+    monkeypatch, policy, hypothesis, p_null, alternative, eta, k, n, dtype
+):
+    # The counts are held in the narrowest signed type that fits -(N + 1),
+    # and each check compares a wrapped difference unsigned. Tiles and
+    # fixed-horizon checks every 8 draws per trial: the first checks have
+    # lows near -N, so a count minus its low nears 2N and wraps the type.
+    trials = 24
+    monkeypatch.setattr(seqht.protocol, "_TILE_DRAWS", 8 * trials)
+    monkeypatch.setattr(seqht.protocol, "_SETTLE_DRAWS", 8)
+    streamed = []
+    stream = seqht.protocol._stream_counts
+    monkeypatch.setattr(seqht.protocol, "_stream_counts", lambda *a: streamed.append(stream(*a)) or streamed[-1])
+    cfg = ProtocolConfig(k=k, n=n, eta=eta, policy_kind=policy)
+    joint = p_null if hypothesis is Hypothesis.H0 else alternative
+    seeds = derive_seed(41, np.arange(trials, dtype=np.uint64))
+    decisions, stops = simulate_batch(cfg, p_null, joint, seeds)
+    outcomes = set()
+    for j, seed in enumerate(seeds):
+        trace = run_protocol(cfg, p_null, SourceModel(hypothesis, joint, int(seed)))
+        assert (trace.decision, trace.stopping_time) == (decisions[j], stops[j])
+        outcomes.add((trace.stopping_time < n, trace.decision))
+    live, above = streamed[-1]
+    assert above.dtype == dtype
+    if hypothesis is Hypothesis.H0:
+        assert (False, ACCEPT) in outcomes
+    elif policy == "early_decide":
+        assert (True, REJECT) in outcomes
+    else:
+        assert live.size < trials  # some trials settle before the horizon
+        assert min(low for *_, low, _ in seqht.protocol._rule(cfg, p_null).horizon_checks) + 8 < 0
+
+
 @pytest.mark.parametrize("n, eta, h1_share", [(100, 0.05, 0.50), (1000, 0.02, 0.35)])
 def test_fixed_horizon_trials_stop_drawing_once_their_reject_is_settled(monkeypatch, n, eta, h1_share):
     # A 16,384-trial chunk of the benchmark pair: under the alternative the y
@@ -904,8 +959,9 @@ def test_simulate_batch_counts_raw_words_like_the_float_sampler(monkeypatch, pol
     stream = seqht.protocol._stream_counts
     monkeypatch.setattr(seqht.protocol, "random_bits_into", fake_hash)
     monkeypatch.setattr(seqht.protocol, "_stream_counts", lambda *a: streamed.append(stream(*a)) or streamed[-1])
-    # Tiles of 4 draws, and a horizon long enough that the uint8 tile sums
-    # are moved into the int64 counts several times (T = 0 hits every word).
+    # Fixed-horizon tiles of 4 draws (early-decide tiles one round, 2
+    # draws), and a horizon of 300 draws, whose counts are held in int16:
+    # T = 0, which every word reaches, counts past an int8's range.
     monkeypatch.setattr(seqht.protocol, "_TILE_DRAWS", 5 * words.size)
     k, n = 2, 150
     cfg = ProtocolConfig(k=k, n=n, eta=0.2, policy_kind=policy)
@@ -924,7 +980,7 @@ def test_simulate_batch_counts_raw_words_like_the_float_sampler(monkeypatch, pol
             reached += 1
     assert counts.shape[-1] == reached
     if policy == "early_decide":
-        assert 0 < reached < words.size  # y codes of edge words reject some trials early
+        assert 0 < reached < words.size  # edge words reject some trials early
 
 
 @pytest.mark.parametrize("policy, bound_mb", [("fixed_horizon", 3), ("early_decide", 4)])
