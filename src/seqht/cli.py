@@ -221,8 +221,9 @@ def cmd_fit(args) -> int:
     )
     if q.strictly_positive:
         solved = solve_exponent(p, q)
-        ratio = _fmt(fit.slope / solved.exponent) if solved.exponent > 0 else "inf"
-        lines.append(f"# solver exponent={_fmt(solved.exponent)} slope/exponent={ratio}")
+        with np.errstate(divide="ignore", invalid="ignore"):  # exponent 0: +-inf, or nan for slope 0
+            ratio = float(np.float64(fit.slope) / solved.exponent)
+        lines.append(f"# solver exponent={_fmt(solved.exponent)} slope/exponent={_fmt(ratio)}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -377,33 +377,23 @@ def _log_window_masses(log_pmf: np.ndarray, lo: int, hi: int, count: int) -> np.
     return out
 
 
-def _binary_log_accept(
-    joint: np.ndarray,
-    log_law: np.ndarray,
-    row_mask: np.ndarray,
-    col_mask: np.ndarray,
-    total: int,
-) -> float:
-    """Log-probability that both marginal counts land in their typical windows.
+def _binary_log_accept(joint: np.ndarray, log_law: np.ndarray, window: tuple[int, int], total: int) -> float:
+    """Log mass of the paths in the row law ``log_law`` whose count of column
+    symbol 0 lands in ``window``, an interval [lo, hi] of counts.
 
     ``log_law[a]`` is the log mass of the paths whose count of row symbol 0
-    is a, for a in 0..total (a defective law when some paths were rejected
-    early). Given a, the count of column symbol 0 is B0 + B1 with
-    B0 ~ Bin(a, s0) and B1 ~ Bin(total - a, s1), the conditional rates of
-    ``joint``. For each typical a with mass this sums
-    P(B0 = b0) * P(lo - b0 <= B1 <= hi - b0) over b0, with the window masses
-    read off two-sided log tails of B1 built once per a. Both log-pmfs are
-    slices of tables built once per call (``_binom_rows``). Work is
-    O(window_rows * total).
-
-    The column window is an interval [lo, hi]: each symbol's test holds on an
-    interval of counts (its rounded frequency is monotone in the count).
+    is a, already cut to the counts the row's windows keep (-inf elsewhere).
+    Given a, the count of column symbol 0 is B0 + B1 with B0 ~ Bin(a, s0) and
+    B1 ~ Bin(total - a, s1), the conditional rates of ``joint``. For each a
+    with mass this sums P(B0 = b0) * P(lo - b0 <= B1 <= hi - b0) over b0,
+    with the window masses read off two-sided log tails of B1 built once per
+    a. Both log-pmfs are slices of tables built once per call
+    (``_binom_rows``). Work is O(window_rows * total).
     """
-    a_vals = np.nonzero(row_mask & (log_law > -np.inf))[0]
-    b_vals = np.nonzero(col_mask)[0]
-    if a_vals.size == 0 or b_vals.size == 0:
+    lo, hi = window
+    a_vals = np.flatnonzero(log_law > -np.inf)
+    if a_vals.size == 0 or lo > hi:
         return -np.inf
-    lo, hi = int(b_vals[0]), int(b_vals[-1])
     rx0 = joint[0, 0] + joint[0, 1]
     rx1 = joint[1, 0] + joint[1, 1]
     s0 = joint[0, 0] / rx0 if rx0 > 0 else 0.0
@@ -450,14 +440,6 @@ def _pinned(log_accepts: list[float], rejects_nothing: bool) -> list[float]:
     return [0.0] * len(log_accepts) if rejects_nothing else log_accepts
 
 
-def _binary_mask(lo, hi, played, size: int) -> np.ndarray:
-    """Whether a count b = 0..size-1 of symbol 0 in ``played`` samples leaves
-    the count of symbol 1 in [lo, hi], a window ``_sum_windows`` folds; the
-    arguments broadcast against b on a last axis."""
-    b = np.arange(size)
-    return (played - hi <= b) & (b <= played - lo)
-
-
 def _exact_binary(
     config: ProtocolConfig, p: JointPmf, measures: Sequence[JointPmf]
 ) -> tuple[list[float], list[float]]:
@@ -465,51 +447,53 @@ def _exact_binary(
     under either policy, over marginal counts.
 
     Early rejects see only the count b of y = 0, and the verdict at the
-    horizon only b and the count of x = 0. So, under each measure:
-
-    * The y-count law: the log mass of the paths that reach the horizon, over
-      b. With a fixed horizon it is Bin(N, r_y0). Early-decide builds it
-      round by round: a log-convolution with Bin(k, r_y0), then the counts
-      the round rejects are removed and their mass is recorded.
-    * The accept mass: the sum over typical b of law(b) * P(x typical | b),
-      from ``_binary_log_accept`` with x and y swapped.
-
-    E[T] = n - sum over t of (n - t) * P(rejected at round t). Work is
-    O(N^2) log-additions for the early law, plus O(window_y * N).
+    horizon only b and the count of x = 0. So the one state is the y-count
+    law: the log mass of the paths still running, over b. With a fixed
+    horizon it is Bin(N, r_y0); early-decide grows it round by round, a
+    log-convolution with Bin(k, r_y0). Each round's folded window on the
+    count of y = 1 cuts the law to an interval of b, and the mass a round
+    t < n cuts leaves E[T] = n - sum over t of (n - t) * P(rejected at t).
+    The accept mass sums P(x typical | b) over the cut law
+    (``_binary_log_accept`` with x and y swapped). Work is O(N^2)
+    log-additions for the early law, plus O(window_y * N); memory is O(N).
     """
     n, k = config.n, config.k
     total = config.total_samples
     rule = _rule(config, p)
-    x_mask, y_mask = (_binary_mask(lo, hi, total, total + 1) for lo, hi in rule.folded_horizon)
-    # rejects[t - 1, b]: whether round t < n rejects b counts of y = 0
-    # (columns past t*k unused).
-    rejects = np.zeros((0, total + 1), dtype=bool)
-    if config.policy_kind is PolicyKind.EARLY_DECIDE:
-        early = rule.folded_early
-        rejects = ~_binary_mask(early[..., 0], early[..., 1], k * np.arange(1, n)[:, None], total + 1)
+    (x_lo, x_hi), (y_lo, y_hi) = ((int(lo[0]), int(hi[0])) for lo, hi in rule.folded_horizon)
+    early = config.policy_kind is PolicyKind.EARLY_DECIDE
+    # Round t's window, t = 1..n (only t = n when fixed).
+    cuts = (rule.folded_early[:, 0].tolist() if early else []) + [[y_lo, y_hi]]
     lg = _log_factorials(total)
     log_accepts, e_ts = [], []
     for joint in (m.probs for m in measures):
         ry0 = joint[0, 0] + joint[1, 0]
         e_t = float(n)
-        if not len(rejects):
-            law = _binom_rows(lg, ry0)(total)
-        else:
+        if early:
             step = _binom_rows(lg, ry0)(k).tolist()
             law = np.zeros(1)  # index: count of y = 0 so far
-            for t in range(1, n + 1):
+        else:
+            law = _binom_rows(lg, ry0)(total)
+        for t, (lo, hi) in enumerate(cuts, start=n + 1 - len(cuts)):
+            if early:
                 grown = np.full(law.size + k, -np.inf)
                 for j, log_w in enumerate(step):
                     part = grown[j : j + law.size]
                     np.logaddexp(part, law + log_w, out=part)
                 law = grown
-                if t < n and (killed := rejects[t - 1, : law.size]).any():
-                    e_t -= (n - t) * math.exp(np.logaddexp.reduce(law[killed]))
-                    law[killed] = -np.inf
-                    if law.max() == -np.inf:  # nothing survives
-                        law = np.full(total + 1, -np.inf)
-                        break
-        log_accepts.append(_binary_log_accept(joint.T, law, y_mask, x_mask, total))
+            # Keep b in [tk - hi, tk - lo]; folded windows lie in
+            # [0, tk + 1] x [-1, tk], so both ends are slice bounds.
+            keep_lo = law.size - 1 - hi
+            keep_end = max(law.size - lo, keep_lo)
+            if keep_lo == 0 and keep_end == law.size:
+                continue
+            if t < n:
+                cut = np.concatenate((law[:keep_lo], law[keep_end:]))
+                e_t -= (n - t) * math.exp(np.logaddexp.reduce(cut))
+            law[:keep_lo] = law[keep_end:] = -np.inf
+            if law.max() == -np.inf:  # nothing survives
+                break
+        log_accepts.append(_binary_log_accept(joint.T, law, (total - x_hi, total - x_lo), total))
         e_ts.append(e_t)
     return _pinned(log_accepts, rule.rejects_nothing), e_ts
 
@@ -670,7 +654,7 @@ def exact_errors(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorRepor
 
     Binary pairs go through ``_exact_binary`` under either policy, at any
     horizon: O(N^2) work for early-decide, O(window * N) for the fixed
-    horizon. Other alphabets go through ``_exact_general``, with a fixed
+    horizon, and O(N) memory for both. Other alphabets go through ``_exact_general``, with a fixed
     horizon only: one y-count table per typical x-count prefix, each of
     about prod(window top + 1) cells over all but one y symbol, under the
     cell budget (3x3 at N = 60 is about 10^6 cells). Past the budget, and

@@ -13,7 +13,7 @@ form an integer window [lo, hi] per symbol, so ``_DecisionRule`` compiles the
 rule once per (config, null pmf) into a table of windows, each end stepped
 onto the float test's boundary, and keeps it on the pmf. The scalar protocol
 then compares Python ints, and the batch simulator and the exact evaluators
-read their masks off the same table. Both encoders (a single typicality
+read their count windows off the same table. Both encoders (a single typicality
 bit, or the full empirical type) induce the same acceptance region; the
 fixed-horizon policy always decides at round n, while the early-decide
 policy may reject sooner on a widened margin.
@@ -84,6 +84,15 @@ def _member(name: str, kind: type[Enum], value) -> Enum:
         raise InvalidConfig(f"{name} must be one of {allowed}, got {value!r}") from None
 
 
+def _sample_budget(n: int, k: int) -> int:
+    """N = n * k, or ``InvalidConfig`` past 2**53: the windows are float
+    arithmetic on counts, and doubles hold every count only up to there."""
+    total = n * k
+    if total > 2**53:
+        raise InvalidConfig(f"n * k must be at most 2**53 samples, got n={n}, k={k}")
+    return total
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Static parameters of one protocol instance.
@@ -108,6 +117,7 @@ class ProtocolConfig:
     def __post_init__(self):
         for name in ("k", "n"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        _sample_budget(self.n, self.k)
         for name in ("eta", "epsilon"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not (self.eta > 0):
@@ -143,7 +153,7 @@ def default_eta(n: int, k: int) -> float:
     ``ProtocolConfig.epsilon``; a caller who needs alpha <= epsilon must
     compare an exact or Monte Carlo alpha with it.
     """
-    total = n * k
+    total = _sample_budget(n, k)
     if total < 2:
         return 1.0
     return max(0.05, 2.0 * math.sqrt(math.log(total) / total))

@@ -221,6 +221,14 @@ def test_simulate_checks_monte_carlo_fields_for_every_method(tmp_path, capsys, b
     assert next(iter(body)) in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("protocol", [{"k": 1, "n": 10**20}, {"k": 1, "n": 10**20, "eta": 0.1}])
+def test_simulate_past_2_53_samples_is_a_validation_error(tmp_path, capsys, protocol):
+    cfg = write_config(tmp_path, **SIM, protocol=protocol)
+    assert run(["simulate", "--config", cfg]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert f"got n={10**20}, k=1" in captured.err and captured.out == ""
+
+
 def test_exact_simulate_accepts_valid_monte_carlo_flags(tmp_path, capsys):
     cfg = write_config(tmp_path, **SIM, protocol={"k": 2, "n": 3})
     assert run(["simulate", "--config", cfg]) == EXIT_OK
@@ -354,6 +362,22 @@ def test_fit_flat_for_identical_hypotheses(tmp_path, capsys):
     ][0]
     slope = float(summary.split("slope=")[1].split(" ")[0])
     assert abs(slope) <= 1e-3
+
+
+def test_fit_ratio_is_the_ieee_quotient_at_exponent_zero(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        P_XY=UNIFORM,
+        Q_XY=UNIFORM,
+        protocol={"k": 2, "n": 10, "eta": 0.3},
+        N_grid=[40, 80, 120, 160],
+    )
+    assert run(["fit", "--config", cfg]) == EXIT_OK
+    *_, summary, solver = capsys.readouterr().out.strip().split("\n")
+    slope = float(summary.split("slope=")[1].split(" ")[0])
+    assert solver.startswith("# solver exponent=0 ")
+    assert slope < 0
+    assert solver.endswith(" slope/exponent=-inf")
 
 
 def test_fit_repeated_budget_grid_is_a_validation_error(tmp_path, capsys):

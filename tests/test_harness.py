@@ -274,8 +274,11 @@ def test_binary_window_sums_match_convolution_oracle():
         rule = _DecisionRule(ProtocolConfig(k=total, n=1, eta=eta), *marginals(p))
         x_mask = binary_window(rule, total, rule.p_x.probs)
         y_mask = binary_window(rule, total, rule.p_y.probs)
+        y_counts = np.flatnonzero(y_mask)
+        y_window = (int(y_counts[0]), int(y_counts[-1])) if y_counts.size else (1, 0)
         fast_p, fast_q = (
-            _binary_log_accept(j.probs, _x_count_law(j, total), x_mask, y_mask, total) for j in (p, q)
+            _binary_log_accept(j.probs, np.where(x_mask, _x_count_law(j, total), -np.inf), y_window, total)
+            for j in (p, q)
         )
         slow_p, slow_q = (convolution_log_accept(j.probs, x_mask, y_mask, total) for j in (p, q))
         assert abs(-math.expm1(fast_p) - -math.expm1(slow_p)) <= 1e-12
@@ -400,6 +403,9 @@ _PINNED_EXACT = [
     ((CORRELATED, JointPmf.from_probs([[0.6, 0.0], [0.25, 0.15]]), 2, 45, 0.2, "early_decide"),
      ("0x1.11d91f2e82f0bp-1", "0x1.676515fabd49cp-6", "-0x1.40626d31dd1a2p-1",
       "-0x1.e8e9ece734806p+1", "0x1.58168ccea9f8dp+4", "0x1.2956bf308a9c9p+3")),
+    # every early path dies: round 1 rejects all of its counts
+    ((PRODUCT_P, UNIFORM, 2, 40, 0.05, "early_decide"),
+     ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "-inf", "0x1.0000000000000p+0", "0x1.0000000000000p+0")),
 ]
 
 
@@ -531,6 +537,28 @@ def test_early_decide_exact_at_large_horizon_matches_monte_carlo():
     # T / n lies in [0, 1], so its variance is at most mean * (1 - mean): the
     # Wilson interval of a proportion covers its mean conservatively.
     assert _inside_wilson(exact.e_t_h0 / n, mc.e_t_h0 / n, trials)
+
+
+def _traced_exact(config, p, q):
+    """exact_errors(config, p, q) and the peak bytes it traced."""
+    tracemalloc.start()
+    try:
+        return exact_errors(config, p, q), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_early_decide_exact_memory_is_linear_in_the_horizon():
+    # The y-count law is the only state the 2x2 evaluator keeps: O(N) bytes,
+    # not a reject table of (n - 1) x (N + 1) counts.
+    n, k = 1000, 2
+    config = ProtocolConfig(k=k, n=n, eta=default_eta(n, k), policy_kind=PolicyKind.EARLY_DECIDE)
+    assert _traced_exact(config, PRODUCT_P, UNIFORM)[1] < 2_000_000
+    # Round 1 rejects every path here, so the run is short but the rule long.
+    config = ProtocolConfig(k=k, n=3000, eta=0.05, policy_kind=PolicyKind.EARLY_DECIDE)
+    exact, peak = _traced_exact(config, PRODUCT_P, UNIFORM)
+    assert (exact.alpha, exact.e_t_h0) == (1.0, 1.0)
+    assert peak < 4_000_000
 
 
 # ---------------------------------------------------------------------------

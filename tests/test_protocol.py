@@ -70,6 +70,13 @@ def test_config_validation():
         with pytest.raises(InvalidConfig, match="n must be a positive integer"):
             ProtocolConfig(k=1, n=bad, eta=0.1)
     assert ProtocolConfig(k=np.int64(2), n=3, eta=0.1).total_samples == 6
+    # a budget past 2**53 samples has counts that doubles cannot hold
+    assert ProtocolConfig(k=2, n=2**52, eta=0.1).total_samples == 2**53
+    for k, n in ((1, 2**53 + 1), (3, 2**52)):
+        with pytest.raises(InvalidConfig, match=f"n \\* k must be at most 2\\*\\*53 samples, got n={n}, k={k}"):
+            ProtocolConfig(k=k, n=n, eta=0.1)
+        with pytest.raises(InvalidConfig, match=f"got n={n}, k={k}"):
+            default_eta(n, k)
     # eta and epsilon are real numbers: a string or a bool is not a margin
     for bad in ("0.1", True, np.True_, None, 0.1j):
         with pytest.raises(InvalidConfig, match="eta must be a real number"):
