@@ -433,13 +433,6 @@ def _exact_report(
     )
 
 
-def _pinned(log_accepts: list[float], rejects_nothing: bool) -> list[float]:
-    """The log accept masses, or exactly 0 for each when the rule rejects
-    nothing (e.g. eta >= 1): the log-domain sums would smear that endpoint
-    by their rounding."""
-    return [0.0] * len(log_accepts) if rejects_nothing else log_accepts
-
-
 def _exact_binary(
     config: ProtocolConfig, p: JointPmf, measures: Sequence[JointPmf]
 ) -> tuple[list[float], list[float]]:
@@ -495,7 +488,7 @@ def _exact_binary(
                 break
         log_accepts.append(_binary_log_accept(joint.T, law, (total - x_hi, total - x_lo), total))
         e_ts.append(e_t)
-    return _pinned(log_accepts, rule.rejects_nothing), e_ts
+    return log_accepts, e_ts
 
 
 def _log_step(table: np.ndarray, log_row: list[np.ndarray], forward: bool) -> np.ndarray:
@@ -562,7 +555,7 @@ def _exact_general(
     layers = len(measures)
     e_ts = [float(config.n)] * layers
     if any(lo > hi for lo, hi in x_windows + y_windows):
-        return _pinned([-np.inf] * layers, rule.rejects_nothing), e_ts
+        return [-np.inf] * layers, e_ts
     lows, tops = zip(*x_windows)
     shape = tuple(hi + 1 for _, hi in y_windows[:-1])
 
@@ -622,7 +615,7 @@ def _exact_general(
     start[(slice(None),) + (0,) * len(shape)] = 0.0
     descend(0, start, 0, lg[total + 1])
     if not leaves:
-        return _pinned([-np.inf] * layers, rule.rejects_nothing), e_ts
+        return [-np.inf] * layers, e_ts
     # A running sum over the leaves, in their order, so that each measure's
     # total is the same double however many measures ride along.
     leaf = np.array(leaves)
@@ -630,15 +623,19 @@ def _exact_general(
     shift = np.where(top > -np.inf, top, 0.0)
     with np.errstate(divide="ignore"):
         log_accepts = shift + np.log(np.add.accumulate(np.exp(leaf - shift), axis=0)[-1])
-    return _pinned(log_accepts.tolist(), rule.rejects_nothing), e_ts
+    return log_accepts.tolist(), e_ts
 
 
 def _exact_log_accepts(
     config: ProtocolConfig, p: JointPmf, measures: Sequence[JointPmf]
 ) -> tuple[list[float], list[float]]:
-    """Log accept mass and E[T] of p's rule under each measure: the 2x2
-    evaluator for binary pairs, the general one for other fixed-horizon
-    pairs, and ``TooLarge`` for early-decide on other alphabets."""
+    """Log accept mass and E[T] of p's rule under each measure: exactly 0
+    and n for a rule that rejects nothing (e.g. eta >= 1), where log-domain
+    sums would smear that endpoint by their rounding; else the 2x2 evaluator
+    for binary pairs, the general one for other fixed-horizon pairs, and
+    ``TooLarge`` for early-decide on other alphabets."""
+    if _rule(config, p).rejects_nothing:
+        return [0.0] * len(measures), [float(config.n)] * len(measures)
     if p.probs.shape == (2, 2):
         return _exact_binary(config, p, measures)
     if config.policy_kind is PolicyKind.FIXED_HORIZON:
@@ -658,7 +655,8 @@ def exact_errors(config: ProtocolConfig, p: JointPmf, q: JointPmf) -> ErrorRepor
     horizon only: one y-count table per typical x-count prefix, each of
     about prod(window top + 1) cells over all but one y symbol, under the
     cell budget (3x3 at N = 60 is about 10^6 cells). Past the budget, and
-    for early-decide on them, it raises ``TooLarge`` (use Monte Carlo).
+    for early-decide on them, it raises ``TooLarge`` (use Monte Carlo),
+    unless the rule rejects nothing: that gives alpha 0 and beta 1 at once.
     Both evaluators take the null's rule and a list of measures;
     ``fit_exponent`` passes the alternative alone.
     """

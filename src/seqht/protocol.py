@@ -153,6 +153,7 @@ def default_eta(n: int, k: int) -> float:
     ``ProtocolConfig.epsilon``; a caller who needs alpha <= epsilon must
     compare an exact or Monte Carlo alpha with it.
     """
+    k, n = _integer("k", k), _integer("n", n)
     total = _sample_budget(n, k)
     if total < 2:
         return 1.0
@@ -320,6 +321,11 @@ class _DecisionRule:
     p_y: Pmf | None = None
 
     @cached_property
+    def early(self) -> bool:
+        """Whether the policy may reject before round n (early-decide)."""
+        return self.config.policy_kind is PolicyKind.EARLY_DECIDE
+
+    @cached_property
     def reject_margins(self) -> np.ndarray:
         """Early-reject margins of rounds 1..n-1."""
         return self.config.reject_margin(np.arange(1, self.config.n))
@@ -484,6 +490,16 @@ def encode(config: ProtocolConfig, x_prefix: Sequence[int], p_x: Pmf) -> Message
     return Message(step=t, payload=_payload(_rule(config, p_x), t, _tally(x_prefix, p_x.probs.size)))
 
 
+def _verdict(rule: _DecisionRule, t: int, x_ok: bool, y_counts: list[int]) -> int | None:
+    """Round t's verdict on the y counts of its t*k samples. Before round n:
+    REJECT when early-decide's widened y window misses them, else CONTINUE.
+    At round n: ACCEPT iff ``x_ok`` (the x test of the latest message) holds
+    and the y counts are typical, else REJECT."""
+    if t < rule.config.n:
+        return REJECT if rule.early and not _inside(y_counts, rule.y_early[t - 1].tolist()) else CONTINUE
+    return ACCEPT if x_ok and _inside(y_counts, rule.horizon[1]) else REJECT
+
+
 def decide(
     config: ProtocolConfig,
     messages: Sequence[Message],
@@ -497,37 +513,25 @@ def decide(
     latest message certifies x-typicality and the local y-type is typical
     for the null y-marginal. Early-decide: additionally reject at t < n when
     the y-type is atypical on the widened margin; acceptance still only at n.
-    A round below 1, or one that is not an integer, raises ``InvalidConfig``.
+    Every round checks all of its input, for either encoder: a round that is
+    not an integer in 1..n raises ``InvalidConfig``; messages that do not
+    end at round t, or a payload of the wrong kind or sample count,
+    ``InconsistentMessages``; a y prefix of the wrong length ``BadLength``;
+    a symbol or type off the null's alphabet ``AlphabetMismatch``.
     """
     if type(t) is not int or t < 1:
         t = _integer("round", t)
+    if t > config.n:
+        raise InvalidConfig(f"round {t} beyond the horizon n={config.n}")
     rule = _rule(config, p_joint)
     if len(messages) != t:
         raise InconsistentMessages(f"expected {t} messages by round {t}, got {len(messages)}")
-    if messages and messages[-1].step != t:
-        raise InconsistentMessages(
-            f"latest message is for round {messages[-1].step}, expected {t}"
-        )
+    if messages[-1].step != t:
+        raise InconsistentMessages(f"latest message is for round {messages[-1].step}, expected {t}")
     if len(y_prefix) != t * config.k:
         raise BadLength(f"y prefix has {len(y_prefix)} samples, expected {t * config.k}")
-    payload = messages[-1].payload if messages else None
-    if isinstance(payload, EmpiricalType) and config.encoder_kind is EncoderKind.FULL_TYPE:
-        if payload.total != t * config.k:
-            raise InconsistentMessages(
-                f"full-type payload covers {payload.total} samples, expected {t * config.k}"
-            )
-
-    if t < config.n:
-        if config.policy_kind is PolicyKind.EARLY_DECIDE:
-            y_counts = _tally(y_prefix, rule.p_y.probs.size)
-            if not _inside(y_counts, rule.y_early[t - 1].tolist()):
-                return REJECT
-        return CONTINUE
-    if t > config.n:
-        raise InvalidConfig(f"round {t} beyond the horizon n={config.n}")
-
-    x_windows, y_windows = rule.horizon
-    y_ok = _inside(_tally(y_prefix, rule.p_y.probs.size), y_windows)
+    y_counts = _tally(y_prefix, rule.p_y.probs.size)
+    payload = messages[-1].payload
     if config.encoder_kind is EncoderKind.ONE_BIT:
         if not isinstance(payload, int):
             raise InconsistentMessages("one-bit decider received a non-bit payload")
@@ -535,45 +539,41 @@ def decide(
     else:
         if not isinstance(payload, EmpiricalType):
             raise InconsistentMessages("full-type decider received a non-type payload")
+        if payload.total != t * config.k:
+            raise InconsistentMessages(f"full-type payload covers {payload.total} samples, expected {t * config.k}")
         if payload.counts.shape != rule.p_x.probs.shape:
             raise AlphabetMismatch(
                 f"full-type payload has {payload.counts.size} counts for {rule.p_x.probs.size} x symbols"
             )
-        x_ok = _inside(payload.counts.tolist(), x_windows)
-    return ACCEPT if (x_ok and y_ok) else REJECT
+        x_ok = t == config.n and _inside(payload.counts.tolist(), rule.horizon[0])
+    return _verdict(rule, t, x_ok, y_counts)
 
 
 def _replay(rule: _DecisionRule, x: Sequence[int], y: Sequence[int]):
-    """Play the protocol on checked symbol sequences of Python ints until the
-    policy stops or the samples run out.
+    """Play the protocol on checked symbol sequences of Python ints, at least
+    one round long, until the policy stops or the samples run out.
 
-    Returns each round's verdict and the running x counts of each round
-    played (row t-1: the count of each symbol in the first t*k samples).
-    Round t's verdict is the one ``decide`` gives on the length-t*k
-    prefixes; its message is the one ``encode`` gives, the counts row or its
-    x-window test. Counts run on, so a replay is O(n k).
+    Returns the rounds played T, the last verdict (CONTINUE when the samples
+    ran out first) and the running x counts of each round played (row t-1:
+    the count of each symbol in the first t*k samples). Round t's verdict is
+    ``_verdict``'s, as in ``decide`` on the length-t*k prefixes; its message
+    is the one ``encode`` gives, the counts row or its x-window test. Counts
+    run on, so a replay is O(n k).
     """
-    config = rule.config
-    k, n = config.k, config.n
-    rounds = min(len(x) // k, n)
-    early = rule.y_early[:rounds].tolist() if config.policy_kind is PolicyKind.EARLY_DECIDE else ()
+    k, n = rule.config.k, rule.config.n
     x_counts = [0] * rule.p_x.probs.size
     y_counts = [0] * rule.p_y.probs.size
     rows = []
-    for t in range(rounds):
-        for s in x[t * k : t * k + k]:
+    for t in range(1, min(len(x) // k, n) + 1):
+        for s in x[t * k - k : t * k]:
             x_counts[s] += 1
-        for s in y[t * k : t * k + k]:
+        for s in y[t * k - k : t * k]:
             y_counts[s] += 1
         rows.append(x_counts.copy())
-        if t < len(early) and not _inside(y_counts, early[t]):
-            return [CONTINUE] * t + [REJECT], rows
-    verdicts: list[int | None] = [CONTINUE] * rounds
-    if rounds == n:
-        x_windows, y_windows = rule.horizon
-        accept = _inside(x_counts, x_windows) and _inside(y_counts, y_windows)
-        verdicts[-1] = ACCEPT if accept else REJECT
-    return verdicts, rows
+        verdict = _verdict(rule, t, t == n and _inside(x_counts, rule.horizon[0]), y_counts)
+        if verdict is not CONTINUE:
+            break
+    return t, verdict, rows
 
 
 def run_protocol(config: ProtocolConfig, p_null: JointPmf, source: SourceModel) -> Trace:
@@ -595,8 +595,7 @@ def run_protocol(config: ProtocolConfig, p_null: JointPmf, source: SourceModel) 
     # The thresholds are sorted, so the count of those m reaches is a search.
     draws = np.searchsorted(source.joint._thresholds, m, side="right")
     x, y = (v.tolist() for v in np.divmod(draws, source.joint.probs.shape[1]))
-    verdicts, x_counts = _replay(rule, x, y)
-    t = len(verdicts)
+    t, decision, x_counts = _replay(rule, x, y)
     played = t * config.k
     if config.encoder_kind is EncoderKind.ONE_BIT:
         payloads = [_payload(rule, s, c) for s, c in enumerate(x_counts, 1)]
@@ -607,7 +606,7 @@ def run_protocol(config: ProtocolConfig, p_null: JointPmf, source: SourceModel) 
         payloads = [EmpiricalType._unchecked(row) for row in counts]
     return Trace(
         messages=tuple(Message(step=s, payload=c) for s, c in enumerate(payloads, 1)),
-        decision=verdicts[-1],
+        decision=decision,
         x_seq=tuple(x[:played]),
         y_seq=tuple(y[:played]),
     )
@@ -631,15 +630,14 @@ def acceptance_region_membership(
     rule = _rule(config, p_null)
     x = _symbol_list(x_full, rule.p_x.probs.size)
     y = _symbol_list(y_full, rule.p_y.probs.size)
-    verdicts = _replay(rule, x, y)[0]
-    if verdicts[-1] is CONTINUE:
+    t, verdict, _ = _replay(rule, x, y)
+    if verdict is CONTINUE:
         raise BadLength(
             f"policy does not stop within {len(x_full)} samples (needs up to {config.total_samples})"
         )
-    stop = len(verdicts) * config.k
-    if len(x_full) != stop:
-        raise BadLength(f"protocol stops after {stop} samples but {len(x_full)} were supplied")
-    return verdicts[-1] == ACCEPT
+    if len(x_full) != t * config.k:
+        raise BadLength(f"protocol stops after {t * config.k} samples but {len(x_full)} were supplied")
+    return verdict == ACCEPT
 
 
 # Draws (trials x samples) per tile of simulate_batch under the fixed
@@ -721,7 +719,6 @@ def _stream_counts(
     certain in the last few rounds.
     """
     n, k = rule.config.n, rule.config.k
-    early = rule.config.policy_kind is PolicyKind.EARLY_DECIDE
     above = np.zeros((thresholds.size, seeds.size), dtype=np.min_scalar_type(-(n * k + 1)))
     tiles = _DrawTiles(thresholds, seeds.size, tile * k, above.dtype)
     live = np.arange(seeds.size)  # trials still drawing
@@ -731,7 +728,7 @@ def _stream_counts(
         tiles.add_counts(seeds, t0 * k, (t - t0) * k, above)
         if t == n:
             break
-        if early:
+        if rule.early:
             out = rule.rejects_early(above, t)
         elif i % every:
             continue
@@ -742,7 +739,7 @@ def _stream_counts(
             # The counts move into the array's first columns, row by row, so
             # the chunk's peak holds no second copy of them.
             kept = np.flatnonzero(~out)
-            if early:
+            if rule.early:
                 stops[live[np.flatnonzero(out)]] = t
             live, seeds = live[kept], seeds[kept]
             for row in above:
@@ -826,8 +823,7 @@ def simulate_batch(
     rule = _rule(config, p_null)
     thresholds = joint._thresholds
     trials = seeds.shape[0]
-    early = config.policy_kind is PolicyKind.EARLY_DECIDE
-    tile = 1 if early else max(1, min(n, _TILE_DRAWS // (k * max(1, trials))))  # rounds per tile
+    tile = 1 if rule.early else max(1, min(n, _TILE_DRAWS // (k * max(1, trials))))  # rounds per tile
 
     decisions = np.full(trials, REJECT, dtype=np.int64)
     stops = np.full(trials, n, dtype=np.int64)

@@ -267,6 +267,25 @@ def test_binary_early_decide_is_exact_past_64_samples(tmp_path, capsys):
     assert lines[2] == "N,neg_ln_beta,fitted"
 
 
+def test_unreadable_config_is_a_validation_error_naming_why(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    for text, why in (("{'k': 2}", "is not valid JSON"), ("[1,2,3]", "root must be a JSON object"),
+                      ("null", "root must be a JSON object")):
+        path.write_text(text, encoding="utf-8")
+        assert run(["simulate", "--config", str(path)]) == EXIT_VALIDATION
+        assert why in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit"])
+@pytest.mark.parametrize("field", ["k", "n"])
+def test_protocol_section_missing_k_or_n_names_it(tmp_path, capsys, command, field):
+    protocol = {"k": 2, "n": 5}
+    del protocol[field]
+    cfg = write_config(tmp_path, P_XY=PRODUCT_P, Q_XY=UNIFORM, protocol=protocol)
+    assert run([command, "--config", cfg]) == EXIT_VALIDATION
+    assert f"protocol section is missing '{field}'" in capsys.readouterr().err
+
+
 def test_simulate_config_validation(tmp_path, capsys):
     missing_q = write_config(
         tmp_path, name="m.json", P_XY=UNIFORM, protocol={"k": 2, "n": 1}

@@ -192,8 +192,8 @@ def test_general_enumeration_matches_binary_fast_path():
             assert math.isclose(fast.log_beta, slow.log_beta, rel_tol=1e-10)
 
 
-def _assert_matches_enumeration(config, p, q):
-    report = _report(_exact_general, config, p, q)
+def _assert_matches_enumeration(config, p, q, report=None):
+    report = _report(_exact_general, config, p, q) if report is None else report
     oracle = joint_type_enumeration(config, p, q)
     assert abs(report.alpha - oracle.alpha) <= 1e-12
     assert abs(report.beta - oracle.beta) <= 1e-12
@@ -237,11 +237,12 @@ def test_marginal_counts_on_the_margin_and_past_it():
     half = JointPmf.from_probs([[0.25, 0.25], [0.125, 0.125], [0.125, 0.125]])
     skew = JointPmf.from_probs([[0.1, 0.2], [0.3, 0.1], [0.1, 0.2]])
     _assert_matches_enumeration(ProtocolConfig(k=2, n=3, eta=0.25), half, skew)
-    # eta >= 1 rejects nothing, so the errors are pinned, not summed: at
-    # N = 6 the sums themselves miss 0 and 1 by a few ulps.
+    # eta >= 1 rejects nothing, so exact_errors pins the errors before any
+    # evaluator runs: at N = 6 the sums themselves miss 0 and 1 by a few ulps.
     for eta in (1.0, 1.3):
         for p, q in ((edge, far), (half, skew)):
-            report = _assert_matches_enumeration(ProtocolConfig(k=2, n=3, eta=eta), p, q)
+            config = ProtocolConfig(k=2, n=3, eta=eta)
+            report = _assert_matches_enumeration(config, p, q, exact_errors(config, p, q))
             assert report.alpha == 0.0 and report.beta == 1.0
 
 
@@ -596,6 +597,31 @@ def test_budget_guard_raises_before_any_table(monkeypatch):
             exact_errors(ProtocolConfig(k=10, n=80, eta=eta), three, three)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        ProtocolConfig(k=2, n=5, eta=1.5, policy_kind=PolicyKind.EARLY_DECIDE),
+        ProtocolConfig(k=10, n=80, eta=1.5),
+        ProtocolConfig(k=1, n=10**7, eta=1.0),
+    ],
+    ids=["early-decide", "past-the-budget", "ten-million-samples"],
+)
+def test_a_rule_that_rejects_nothing_is_settled_before_any_evaluator(monkeypatch, config):
+    # Every count vector passes, so no evaluator runs, whatever the policy,
+    # alphabet or cell budget.
+    def no_evaluator(*args, **kwargs):
+        raise AssertionError("an exact evaluator ran")
+
+    monkeypatch.setattr("seqht.harness._exact_binary", no_evaluator)
+    monkeypatch.setattr("seqht.harness._exact_general", no_evaluator)
+    p = JointPmf.from_probs([[0.30, 0.05, 0.05], [0.05, 0.20, 0.05], [0.05, 0.05, 0.20]])
+    q = JointPmf.from_probs(np.full((3, 3), 1.0 / 9.0))
+    report = exact_errors(config, p, q)
+    assert (report.alpha, report.beta) == (0.0, 1.0)
+    assert (report.log_alpha, report.log_beta) == (-math.inf, 0.0)
+    assert report.e_t_h0 == report.e_t_h1 == config.n
+
+
 def test_three_by_three_exact_at_sixty_samples_matches_monte_carlo():
     p = JointPmf.from_probs([[0.30, 0.05, 0.05], [0.05, 0.20, 0.05], [0.05, 0.05, 0.20]])
     q = JointPmf.from_probs(np.full((3, 3), 1.0 / 9.0))
@@ -854,6 +880,27 @@ def test_wald_identity_randomized_rules():
             p, q, lambda prefix, c=cut: prefix.count(0) >= c, horizon_cap=12
         )
         assert report.holds(1e-9), f"case {case} gap {report.gap}"
+
+
+def test_wald_identity_skips_paths_of_zero_mass():
+    # The middle symbol has P-mass 0: no path through it is scored, and the
+    # rule never sees one. Stop at the first 0 within 3 steps; the paths are
+    # (0), (2, 0), (2, 2, 0) and (2, 2, 2), each step with ratio ln 2.
+    p = Pmf.from_probs([0.5, 0.0, 0.5])
+    q = Pmf.from_probs([0.25, 0.5, 0.25])
+    seen = []
+
+    def stop_at_zero(prefix):
+        seen.append(prefix)
+        return prefix[-1] == 0
+
+    report = verify_wald_identity(p, q, stop_at_zero, horizon_cap=3)
+    paths = [(1, 0.5), (2, 0.25), (3, 0.125), (3, 0.125)]
+    e_t = sum(t * w for t, w in paths)
+    assert math.isclose(report.expected_stopping_time, e_t, rel_tol=1e-12)
+    assert math.isclose(report.lhs, sum(w * t * math.log(2.0) for t, w in paths), rel_tol=1e-12)
+    assert math.isclose(report.rhs, e_t * math.log(2.0), rel_tol=1e-12)
+    assert seen and all(1 not in prefix for prefix in seen)
 
 
 def test_wald_identity_validation():

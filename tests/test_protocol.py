@@ -19,6 +19,7 @@ from seqht import (
     InconsistentMessages,
     InvalidConfig,
     JointPmf,
+    LengthMismatch,
     Message,
     Pmf,
     PolicyKind,
@@ -101,6 +102,17 @@ def test_config_validation():
 def test_default_eta_schedule():
     assert default_eta(100, 1) == pytest.approx(max(0.05, 2 * math.sqrt(math.log(100) / 100)))
     assert default_eta(10_000, 10) == 0.05  # floor kicks in for large budgets
+
+
+def test_default_eta_takes_numpy_integers_as_python_ints():
+    # As in ProtocolConfig, so n * k cannot wrap in int64.
+    with pytest.raises(InvalidConfig, match="n \\* k must be at most 2\\*\\*53 samples"):
+        default_eta(np.int64(2**40), np.int64(2**40))
+    assert default_eta(np.int64(100), np.uint8(1)) == default_eta(100, 1)
+    for bad in (0, 2.0, True):
+        with pytest.raises(InvalidConfig, match="k must be a positive integer"):
+            default_eta(5, bad)
+    assert default_eta(1, 1) == 1.0  # one sample: every type is typical
 
 
 def test_encode_one_bit_and_full_type():
@@ -200,6 +212,15 @@ def test_decide_takes_only_a_positive_integer_round(policy):
         assert decide(cfg, msgs, [0, 0, 0, 1], t, P_JOINT) is CONTINUE
 
 
+@pytest.mark.parametrize("encoder", ["one_bit", "full_type"])
+def test_decide_checks_a_round_past_the_horizon_first(encoder):
+    cfg = one_bit_config(n=3, encoder_kind=encoder)
+    past = [Message(step=s, payload=1) for s in range(1, 5)]
+    for messages, y in ((past, [0, 0, 0, 1] * 4), ([], [])):
+        with pytest.raises(InvalidConfig, match="round 4 beyond the horizon n=3"):
+            decide(cfg, messages, y, 4, P_JOINT)
+
+
 def test_decide_early_policy_rejects_on_widened_margin():
     cfg = one_bit_config(n=4, eta=0.2, policy_kind="early_decide")
     msgs = [Message(step=1, payload=1)]
@@ -209,6 +230,29 @@ def test_decide_early_policy_rejects_on_widened_margin():
     assert decide(cfg, msgs, [0, 0, 1, 1], 1, P_JOINT) is CONTINUE
     # early accept never happens before the horizon, however typical y looks
     assert decide(cfg, msgs, [0, 0, 0, 1], 1, P_JOINT) is CONTINUE
+
+
+@pytest.mark.parametrize("policy", ["fixed_horizon", "early_decide"])
+def test_decide_checks_all_of_its_input_at_every_round(policy):
+    # Each bad input raises at round 1 < n as it does at round n.
+    one_bit = one_bit_config(k=2, n=3, policy_kind=policy)
+    full = one_bit_config(k=2, n=3, policy_kind=policy, encoder_kind="full_type")
+    for t in (1, 3):
+        y = [0, 1] * t
+        bits = [Message(step=s, payload=1) for s in range(1, t + 1)]
+        types = [Message(step=s, payload=EmpiricalType([s, s])) for s in range(1, t + 1)]
+        over_three = bits[:-1] + [Message(step=t, payload=EmpiricalType([t, t - 1, 1]))]
+        with pytest.raises(InconsistentMessages, match="one-bit decider received a non-bit payload"):
+            decide(one_bit, types, y, t, P_JOINT)
+        with pytest.raises(InconsistentMessages, match="full-type decider received a non-type payload"):
+            decide(full, bits, y, t, P_JOINT)
+        with pytest.raises(AlphabetMismatch, match="3 counts for 2 x symbols"):
+            decide(full, over_three, y, t, P_JOINT)
+        with pytest.raises(AlphabetMismatch):
+            decide(one_bit, bits, [0, 7] + y[2:], t, P_JOINT)
+        # the same inputs, well formed, are read
+        decide(one_bit, bits, y, t, P_JOINT)
+        decide(full, types, y, t, P_JOINT)
 
 
 def test_run_protocol_fixed_horizon_trace_shape():
@@ -529,6 +573,12 @@ def test_trace_invariants_are_enforced():
         Trace(**{**ok, "messages": ()})
 
 
+def test_trace_records_must_have_equal_length():
+    msg = (Message(step=1, payload=1),)
+    with pytest.raises(LengthMismatch, match="equal length"):
+        Trace(messages=msg, decision=ACCEPT, x_seq=(0, 0), y_seq=(0,))
+
+
 MEMBER_CFG = ProtocolConfig(k=2, n=1, eta=0.25)
 
 
@@ -562,6 +612,11 @@ def test_membership_length_errors():
     with pytest.raises(BadLength):
         acceptance_region_membership(early, Q_UNIFORM, (0, 1, 0, 1, 0, 1), (1, 1, 1, 1, 1, 1))
     assert acceptance_region_membership(early, Q_UNIFORM, (0, 1), (1, 1)) is False
+
+
+def test_membership_sequences_must_have_equal_length():
+    with pytest.raises(BadLength, match="sequence lengths differ: 2 vs 4"):
+        acceptance_region_membership(MEMBER_CFG, Q_UNIFORM, (0, 1), (1, 0, 1, 0))
 
 
 def test_membership_rejects_symbols_outside_the_alphabet():
